@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="dot:FILE",
         help="write the domset branch tree as Graphviz DOT",
     )
-    solve.add_argument("--threads", type=int, default=1)
 
     count = sub.add_parser("count", help="count all DIMs")
     count.add_argument("--input", default="-", help="graph file, - for stdin")
@@ -92,7 +91,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              f"{args.algo} or use --algo domset")
         tracer = DotTracer()
     g = parse_graph(_read(args.input))
-    result = solve_instance(g, algo=args.algo, threads=args.threads, tracer=tracer)
+    result = solve_instance(g, algo=args.algo, tracer=tracer)
     if args.algo == "auto":
         print(f"auto: selected {result.algorithm}", file=sys.stderr)
     if tracer is not None:

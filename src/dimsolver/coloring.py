@@ -49,8 +49,8 @@ class Coloring:
     with two black neighbors); the state is then dirty and the caller is
     expected to undo_to() an earlier mark.
 
-    A Coloring has a single owner; independent colorings over one shared
-    graph may be used from different threads.
+    A Coloring has a single owner; independent colorings may share one
+    graph.
     """
 
     __slots__ = (

@@ -19,13 +19,11 @@ Those bounds are enforced at runtime, not assumed.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .coloring import UNCOLORED, Coloring, ContractViolation
-from .graph import Dim, Graph, validate_dim
+from .graph import Dim, Graph, format_weight, validate_dim
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,7 @@ class _RootSearch:
         self.col = col
         self.leaves = 0
         self.singles_after_reduce: int | None = None
-        self.best: tuple[float, Dim] | None = None
+        self.best: Dim | None = None
         self.tracer = tracer
 
     def _leaf(self, node, note: str) -> None:
@@ -169,9 +167,9 @@ class _RootSearch:
         if not self.col.is_total():
             raise ContractViolation("stable coloring without singles is not total")
         dim = self.col.to_dim()
-        if self.best is None or dim.weight < self.best[0]:
-            self.best = (dim.weight, dim)
-        self._leaf(node, f"complete w={dim.weight:g}")
+        if self.best is None or dim.weight < self.best.weight:
+            self.best = dim
+        self._leaf(node, f"complete w={format_weight(dim.weight)}")
 
     def _spoke_weight(self, single: int, v: int) -> float:
         eid = self.col.graph.edge_id(single, v)
@@ -251,22 +249,42 @@ class _RootSearch:
             return
 
 
-def _explore_roots(
+def solve_domset(
     g: Graph,
-    d_sorted: Sequence[int],
-    lo: int,
-    hi: int,
-    observer: Observer | None,
-    observer_lock: threading.Lock | None,
-    tracer,
-    trace_top,
-) -> tuple[tuple[float, int, Dim] | None, list[tuple[int, int, int]]]:
+    dominating_set: Sequence[int] | None = None,
+    observer: Observer | None = None,
+    tracer=None,
+) -> SolveOutcome:
+    """Minimum-weight DIM of a preprocessed graph, or certified absence.
+
+    dominating_set defaults to find_dominating_set(g); passing a set that
+    is not dominating is misuse and raises ValueError. observer, if given,
+    is called as observer(root_index, root_black_set, singles) after each
+    root that propagates to a stable coloring, in increasing root order.
+    tracer receives one node per propagation fixpoint for DOT output.
+    """
+    if dominating_set is None:
+        d_sorted = find_dominating_set(g)
+    else:
+        d_sorted = sorted(set(dominating_set))
+        if any(v < 0 or v >= g.n for v in d_sorted):
+            raise ValueError("dominating set contains out-of-range vertex ids")
+        if not _is_dominating(g, d_sorted):
+            raise ValueError("the given vertex set is not dominating")
+
+    roots = 1 << len(d_sorted)
+    trace_top = (
+        tracer.add(None, f"{roots} roots over dominating set {list(d_sorted)}")
+        if tracer
+        else None
+    )
     col = Coloring(g)
     base = col.mark()
-    best: tuple[float, int, Dim] | None = None
-    records: list[tuple[int, int, int]] = []
+    best: Dim | None = None
+    leaves_per_root: list[int] = []
+    singles_per_root: list[int] = []
     bound = min(len(d_sorted), (g.n + 2) // 3)
-    for root in range(lo, hi):
+    for root in range(roots):
         bits = " ".join(
             f"{v}={'B' if (root >> k) & 1 else 'W'}" for k, v in enumerate(d_sorted)
         )
@@ -287,11 +305,7 @@ def _explore_roots(
                 root_blacks = frozenset(
                     v for k, v in enumerate(d_sorted) if (root >> k) & 1
                 )
-                if observer_lock is None:
-                    observer(root, root_blacks, result.singles)
-                else:
-                    with observer_lock:
-                        observer(root, root_blacks, result.singles)
+                observer(root, root_blacks, result.singles)
         if not ok:
             search._leaf(node, "invalid")
         else:
@@ -304,81 +318,20 @@ def _explore_roots(
                 f"root {root}: leaves={search.leaves}, singles after reduce={q}, "
                 f"bound=2^min(|D|, ceil(n/3))=2^{bound}"
             )
-        records.append((root, search.leaves, q))
-        if search.best is not None:
-            w, dim = search.best
-            if best is None or (w, root) < (best[0], best[1]):
-                best = (w, root, dim)
-    return best, records
-
-
-def solve_domset(
-    g: Graph,
-    dominating_set: Sequence[int] | None = None,
-    threads: int = 1,
-    observer: Observer | None = None,
-    tracer=None,
-) -> SolveOutcome:
-    """Minimum-weight DIM of a preprocessed graph, or certified absence.
-
-    dominating_set defaults to find_dominating_set(g); passing a set that
-    is not dominating is misuse and raises ValueError. observer, if given,
-    is called as observer(root_index, root_black_set, singles) after each
-    root that propagates to a stable coloring. tracer (requires threads=1)
-    receives one node per propagation fixpoint for DOT output.
-    """
-    if dominating_set is None:
-        d_sorted = find_dominating_set(g)
-    else:
-        d_sorted = sorted(set(dominating_set))
-        if any(v < 0 or v >= g.n for v in d_sorted):
-            raise ValueError("dominating set contains out-of-range vertex ids")
-        if not _is_dominating(g, d_sorted):
-            raise ValueError("the given vertex set is not dominating")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if tracer is not None and threads != 1:
-        raise ValueError("tracing requires threads=1")
-
-    roots = 1 << len(d_sorted)
-    trace_top = (
-        tracer.add(None, f"{roots} roots over dominating set {list(d_sorted)}")
-        if tracer
-        else None
-    )
-
-    if threads == 1 or roots < 4:
-        best, records = _explore_roots(
-            g, d_sorted, 0, roots, observer, None, tracer, trace_top
-        )
-    else:
-        lock = threading.Lock() if observer is not None else None
-        chunk = max(1, (roots + threads * 8 - 1) // (threads * 8))
-        spans = [(lo, min(lo + chunk, roots)) for lo in range(0, roots, chunk)]
-        best, records = None, []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _explore_roots, g, d_sorted, lo, hi, observer, lock, None, None
-                )
-                for lo, hi in spans
-            ]
-            for fut in futures:
-                b, recs = fut.result()
-                records.extend(recs)
-                if b is not None and (best is None or (b[0], b[1]) < (best[0], best[1])):
-                    best = b
-        records.sort()
+        leaves_per_root.append(search.leaves)
+        singles_per_root.append(q)
+        # strict: ties keep the earliest root
+        if search.best is not None and (best is None or search.best.weight < best.weight):
+            best = search.best
 
     stats = SolveStats(
         dominating_set_size=len(d_sorted),
         roots_explored=roots,
-        branch_leaves_per_root=tuple(r[1] for r in records),
-        residual_singles_per_root=tuple(r[2] for r in records),
+        branch_leaves_per_root=tuple(leaves_per_root),
+        residual_singles_per_root=tuple(singles_per_root),
     )
     if best is None:
         return SolveOutcome(dim=None, stats=stats)
-    _, _, dim = best
-    if not validate_dim(g, dim.edge_ids):
+    if not validate_dim(g, best.edge_ids):
         raise ContractViolation("solver produced an edge set that fails validation")
-    return SolveOutcome(dim=dim, stats=stats)
+    return SolveOutcome(dim=best, stats=stats)

@@ -7,7 +7,7 @@ The file format is DIMACS-like, one record per line:
     e <u> <v> <w>          m times; 1-based endpoints, non-negative weight
 
 Vertices are 0-based internally and 1-based in files. Graphs are immutable
-once constructed and safe to share between threads.
+once constructed, so many colorings can share one.
 """
 
 from __future__ import annotations

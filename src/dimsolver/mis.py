@@ -14,7 +14,6 @@ same product structure counts all DIMs without duplicates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -165,58 +164,27 @@ def complete_min(g: Graph, ic: InducedColoring) -> Dim | None:
     return col.to_dim()
 
 
-def _best_of(g: Graph, batch: list[tuple[int, frozenset[int]]]):
-    best: tuple[float, int, Dim] | None = None
+def solve_mis(g: Graph) -> SolveOutcome:
+    """Minimum-weight DIM of a preprocessed graph via MIS enumeration."""
+    best: Dim | None = None
+    mis_count = 0
     completions = 0
-    for idx, mis in batch:
+    for mis in enumerate_mis(g):
+        mis_count += 1
         dim = complete_min(g, induced_coloring(g, mis))
         if dim is None:
             continue
         completions += 1
-        if best is None or (dim.weight, idx) < (best[0], best[1]):
-            best = (dim.weight, idx, dim)
-    return best, completions
-
-
-def solve_mis(g: Graph, threads: int = 1) -> SolveOutcome:
-    """Minimum-weight DIM of a preprocessed graph via MIS enumeration."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    best: tuple[float, int, Dim] | None = None
-    mis_count = 0
-    completions = 0
-    if threads == 1:
-        for idx, mis in enumerate(enumerate_mis(g)):
-            mis_count += 1
-            b, c = _best_of(g, [(idx, mis)])
-            completions += c
-            if b is not None and (best is None or (b[0], b[1]) < (best[0], best[1])):
-                best = b
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = []
-            batch: list[tuple[int, frozenset[int]]] = []
-            for idx, mis in enumerate(enumerate_mis(g)):
-                mis_count += 1
-                batch.append((idx, mis))
-                if len(batch) >= 64:
-                    futures.append(pool.submit(_best_of, g, batch))
-                    batch = []
-            if batch:
-                futures.append(pool.submit(_best_of, g, batch))
-            for fut in futures:
-                b, c = fut.result()
-                completions += c
-                if b is not None and (best is None or (b[0], b[1]) < (best[0], best[1])):
-                    best = b
+        # strict: ties keep the earliest MIS
+        if best is None or dim.weight < best.weight:
+            best = dim
 
     stats = MisStats(mis_count=mis_count, completions=completions)
     if best is None:
         return SolveOutcome(dim=None, stats=stats)
-    dim = best[2]
-    if not validate_dim(g, dim.edge_ids):
+    if not validate_dim(g, best.edge_ids):
         raise ContractViolation("solver produced an edge set that fails validation")
-    return SolveOutcome(dim=dim, stats=stats)
+    return SolveOutcome(dim=best, stats=stats)
 
 
 def count_dims(g: Graph) -> CountResult:

@@ -4,7 +4,8 @@ Both exact algorithms enumerate the same solution space from different
 ends. The dominating set route explores 2^|D| colorings of a small
 dominating set D; the independent set route walks every maximal
 independent set, of which there are at most 3^(n/3). Auto selection
-compares those exponents and keeps the smaller one.
+picks domset only when |D| <= n*log2(3)/6 (about 0.264*n), that is when
+2^|D| <= sqrt(3^(n/3)); otherwise it picks mis.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .trace import DotTracer
 
 ALGORITHMS = ("auto", "domset", "mis", "brute")
 
-# log2 of the MIS-count base 3^(1/3); 2^|D| beats 3^(n/3) below this slope.
+# log2 of the MIS-count base 3^(1/3). select_algorithm compares |D| with
+# half this slope times n, so domset needs 2^|D| <= sqrt(3^(n/3)).
 _MIS_EXPONENT_PER_VERTEX = math.log2(3.0) / 3.0
 
 
@@ -37,7 +39,7 @@ class InstanceResult:
 
 
 def select_algorithm(g: Graph) -> tuple[str, Optional[list[int]]]:
-    """Pick the cheaper enumeration for a preprocessed graph.
+    """Pick an enumeration for a preprocessed graph by the rule above.
 
     Returns ("domset", d) with the dominating set it found, or
     ("mis", None).
@@ -51,27 +53,21 @@ def select_algorithm(g: Graph) -> tuple[str, Optional[list[int]]]:
 def _solve_residual(
     residual: Graph,
     algo: str,
-    threads: int,
     observer,
     tracer: Optional[DotTracer],
 ) -> tuple[str, SolveOutcome]:
+    d = None
     if algo == "auto":
         if tracer is not None:
             algo = "domset"
         else:
             algo, d = select_algorithm(residual)
-            if algo == "domset":
-                return "domset", solve_domset(
-                    residual, d, threads=threads, observer=observer, tracer=tracer
-                )
     if algo == "domset":
-        return "domset", solve_domset(
-            residual, threads=threads, observer=observer, tracer=tracer
-        )
+        return "domset", solve_domset(residual, d, observer=observer, tracer=tracer)
     if tracer is not None:
         raise ValueError("branch tracing is only available with the domset algorithm")
     if algo == "mis":
-        return "mis", solve_mis(residual, threads=threads)
+        return "mis", solve_mis(residual)
     if algo == "brute":
         oc = brute_solve(residual)
         dim = oc.min_dim(residual) if oc.total else None
@@ -82,7 +78,6 @@ def _solve_residual(
 def solve_instance(
     g: Graph,
     algo: str = "auto",
-    threads: int = 1,
     observer: Optional[Callable] = None,
     tracer: Optional[DotTracer] = None,
 ) -> InstanceResult:
@@ -95,7 +90,7 @@ def solve_instance(
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     pre = preprocess(g)
-    used, outcome = _solve_residual(pre.residual, algo, threads, observer, tracer)
+    used, outcome = _solve_residual(pre.residual, algo, observer, tracer)
     if outcome.dim is None:
         return InstanceResult(None, used, outcome.stats, pre)
     dim = pre.original_dim(outcome.dim)

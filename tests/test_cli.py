@@ -1,11 +1,14 @@
 """Command line behavior: formats, exit codes, determinism, wiring."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dimsolver
 import dimsolver.cli as cli
 from dimsolver import BenchReport
 
@@ -66,10 +69,17 @@ def test_solve_writes_output_file(p4_file, tmp_path, capsys):
 
 
 def test_solve_output_is_byte_stable(p4_file, capsys):
-    run(["solve", "--input", str(p4_file), "--threads", "2"])
+    run(["solve", "--input", str(p4_file)])
     first = capsys.readouterr().out
-    run(["solve", "--input", str(p4_file), "--threads", "2"])
+    run(["solve", "--input", str(p4_file)])
     assert capsys.readouterr().out == first
+
+
+def test_solve_has_no_threads_flag(p4_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["solve", "--input", str(p4_file), "--threads", "2"])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_count_formats(capsys):
@@ -180,17 +190,21 @@ def test_bench_violations_exit_three(tmp_path, capsys, monkeypatch):
 
 
 def test_installed_entry_point_round_trip(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(dimsolver.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     inst = tmp_path / "star.dim"
     gen = subprocess.run(
         [sys.executable, "-m", "dimsolver", "gen", "--family", "star",
          "--n", "5", "--weights", "uniform:2:9", "--seed", "1",
          "--output", str(inst)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert gen.returncode == 0
     solved = subprocess.run(
         [sys.executable, "-m", "dimsolver", "solve", "--input", str(inst)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert solved.returncode == 0
     assert solved.stdout.startswith("DIM ")

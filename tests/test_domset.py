@@ -1,7 +1,7 @@
 """Dominating set branch solver.
 
 Covers the greedy dominating set, part classification, the branch
-statistics with their guaranteed ceilings, thread determinism, and
+statistics with their guaranteed ceilings, observer and tracer hooks, and
 agreement with the brute-force oracle on a random corpus.
 """
 
@@ -158,26 +158,9 @@ def test_oracle_agreement():
             assert validate_dim(res, out.dim.edge_ids)
 
 
-def test_thread_results_and_stats_are_identical():
-    for g in random_corpus(24, seed=41, n_lo=5, n_hi=9):
-        a = solve_domset(g, threads=1)
-        b = solve_domset(g, threads=3)
-        assert (a.dim is None) == (b.dim is None)
-        if a.dim is not None:
-            assert a.dim.edge_ids == b.dim.edge_ids
-        assert a.stats == b.stats
-
-
 def test_rejects_non_dominating_set():
     with pytest.raises(ValueError):
         solve_domset(P4_527, dominating_set=[0])
-
-
-def test_rejects_bad_threads_and_traced_parallelism():
-    with pytest.raises(ValueError):
-        solve_domset(P4_527, threads=0)
-    with pytest.raises(ValueError):
-        solve_domset(P4_527, threads=2, tracer=DotTracer())
 
 
 def test_observer_sees_each_stable_root():
@@ -203,6 +186,12 @@ def test_tracer_records_branches():
     assert dot.startswith("digraph")
     assert "root 3" in dot
     assert dot.count("->") >= 4
+
+    # leaf labels print weights exactly, as solve prints them
+    tracer = DotTracer()
+    big = graph(4, [(0, 1, 5.0), (1, 2, 1234567.0), (2, 3, 7.0)])
+    assert solve_domset(big, tracer=tracer).dim.weight == 1234567.0
+    assert 'complete w=1234567"' in tracer.to_dot()
 
 
 def test_complete_graphs():

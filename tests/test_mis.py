@@ -149,16 +149,6 @@ def test_oracle_agreement_including_counts():
         assert got.min_count == want.min_count
 
 
-def test_thread_determinism():
-    for g in random_corpus(24, seed=59, n_lo=6, n_hi=10):
-        a = solve_mis(g, threads=1)
-        b = solve_mis(g, threads=4)
-        assert (a.dim is None) == (b.dim is None)
-        if a.dim is not None:
-            assert a.dim.edge_ids == b.dim.edge_ids
-        assert a.stats == b.stats
-
-
 def test_empty_graph_has_the_empty_dim():
     out = solve_mis(Graph(0, ()))
     assert out.dim.weight == 0.0 and out.dim.edge_ids == frozenset()
