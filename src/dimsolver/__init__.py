@@ -58,7 +58,6 @@ from .solve import (
     ALGORITHMS,
     InstanceResult,
     count_instance,
-    select_algorithm,
     solve_instance,
 )
 from .trace import DotTracer
@@ -105,7 +104,6 @@ __all__ = [
     "parse_graph",
     "preprocess",
     "run_bench",
-    "select_algorithm",
     "serialize_graph",
     "solve_domset",
     "solve_instance",

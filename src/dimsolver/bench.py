@@ -1,13 +1,14 @@
 """Benchmark runner: drives both exact solvers over a corpus directory and
 checks the enumeration-size guarantees against the recorded stats.
 
-For every instance the dominating-set solver must explore at most 2^|D|
-roots and, per root, at most 2^q branch leaves where q is the number of
-unpaired black vertices left after its forced reductions and q never
-exceeds min(|D|, ceil(n/3)). The independent-set solver must see at most
-3^ceil(n/3) maximal independent sets. Both must agree on existence and
-minimum weight. Any breach lands in the report's violation list instead
-of raising mid-run, so one bad instance cannot hide the rest.
+For every instance the dominating-set solver must reach at most 2^|D|
+roots (stable complete assignments of D) and, per root, at most 2^q
+branch leaves where q is the number of unpaired black vertices left
+after its forced reductions and q never exceeds min(|D|, ceil(n/3)).
+The independent-set solver must see at most 3^ceil(n/3) maximal
+independent sets. Both must agree on existence and minimum weight. Any
+breach lands in the report's violation list instead of raising mid-run,
+so one bad instance cannot hide the rest.
 
 Timings use perf_counter and are the one non-reproducible column.
 """

@@ -7,7 +7,7 @@ generator), bench (corpus runner with bound checks).
 Exit codes: 0 a DIM was found (or the corpus passed), 1 no DIM exists,
 2 bad input or bad flags, 3 a solver broke one of its own guarantees.
 Stdout is byte-stable for a fixed (input, flags, seed); diagnostics and
-the auto-selection report go to stderr.
+the `auto: selected <engine>` banner go to stderr.
 """
 
 from __future__ import annotations

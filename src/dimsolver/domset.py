@@ -1,9 +1,14 @@
 """Exact DIM solver branching over bi-colorings of a dominating set.
 
-Every DIM colors each vertex of a dominating set D white or black, so all
-2^|D| assignments of D are tried as roots. Each root is propagated to a
-stable coloring; the leftover uncolored vertices split into parts, one per
-single black vertex, and each part is resolved by structure:
+Every DIM colors each vertex of a dominating set D white or black. The
+solver searches these assignments depth-first, one vertex of D at a time,
+and propagates the forcing rules after each one. Every rule holds in any
+DIM that extends the partial coloring, so a prefix whose propagation
+breaks has no DIM and its subtree is skipped; a vertex of D that
+propagation has already colored keeps its color. Each complete assignment
+that propagates stably is a root. Its leftover uncolored vertices split
+into parts, one per single black vertex, and each part is resolved by
+structure:
 
   dead    the part cannot host the single's pair; prune
   forced  exactly one viable pair candidate; take it
@@ -22,15 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .coloring import UNCOLORED, Coloring, ContractViolation
+from .coloring import BLACK, UNCOLORED, WHITE, Coloring, ContractViolation
 from .graph import Dim, Graph, format_weight, validate_dim
 
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Per-run search statistics; lists are indexed by root."""
+    """Per-run search statistics.
+
+    search_nodes counts the assignments tried in D, pruned ones included;
+    roots_explored counts the complete assignments that propagated stably,
+    and the two lists hold one entry per such root, in root order.
+    """
 
     dominating_set_size: int
+    search_nodes: int
     roots_explored: int
     branch_leaves_per_root: tuple[int, ...]
     residual_singles_per_root: tuple[int, ...]
@@ -177,14 +188,51 @@ class _RootSearch:
         return self.col.graph.edges[eid][2]
 
     def resolve(self, node) -> None:
-        """Resolve all parts below the current stable coloring."""
+        """Resolve all parts below the current stable coloring.
+
+        Cross branches wait on an explicit stack of (mark, branch, node)
+        entries, so the depth (up to q <= n/3) never meets the recursion
+        limit; the black branch runs before the white one.
+        """
+        col = self.col
+        tracer = self.tracer
+        stack: list[tuple[int, tuple[int, bool] | None, object]] = [
+            (col.mark(), None, node)
+        ]
+        while stack:
+            mark, branch, node = stack.pop()
+            col.undo_to(mark)
+            if branch is not None:
+                v, make_black = branch
+                ok = (
+                    col.set_black(v) if make_black else col.set_white(v)
+                ) and col.propagate().stable
+                if tracer is not None:
+                    tag = "black" if make_black else "white"
+                    node = tracer.add(node, f"cross {v}={tag}")
+                if not ok:
+                    self._leaf(node, "invalid")
+                    continue
+            cross = self._reduce(node)
+            if cross is not None:
+                v, node = cross
+                # v black pairs its own single; v white forces the far
+                # endpoint black, pairing the other part's single
+                mark = col.mark()
+                stack.append((mark, (v, False), node))
+                stack.append((mark, (v, True), node))
+
+    def _reduce(self, node):
+        """Settle dead, forced and free parts in place; return (v, node)
+        for the cross vertex to branch on, or None once this branch has
+        reached its leaf."""
         col = self.col
         tracer = self.tracer
         while True:
             parts = col.uncolored_partition()
             if not parts:
                 self._complete(node)
-                return
+                return None
             singles = sorted(parts)
             part_of = {u: s for s, us in parts.items() for u in us}
             part_index = {s: i for i, s in enumerate(singles)}
@@ -195,7 +243,7 @@ class _RootSearch:
             dead = next((i for i in infos if i.kind == "dead"), None)
             if dead is not None:
                 self._leaf(node, f"dead s={dead.single}")
-                return
+                return None
 
             forced = next((i for i in infos if i.kind == "forced"), None)
             if forced is not None:
@@ -205,7 +253,7 @@ class _RootSearch:
                     node = tracer.add(node, f"forced {v} pairs {forced.single}")
                 if not ok:
                     self._leaf(node, "invalid")
-                    return
+                    return None
                 continue
 
             if self.singles_after_reduce is None:
@@ -224,29 +272,12 @@ class _RootSearch:
                 if not ok:
                     # free choices cannot clash with anything outside the part
                     self._leaf(node, "invalid")
-                    return
+                    return None
                 continue
 
             cross_info = next(i for i in infos if i.kind == "cross")
             assert cross_info.cross is not None
-            _, _, v, _ = cross_info.cross
-            # v black pairs its own single; v white forces the far endpoint
-            # black, pairing the other part's single
-            for make_black in (True, False):
-                mark = col.mark()
-                ok = (
-                    col.set_black(v) if make_black else col.set_white(v)
-                ) and col.propagate().stable
-                tag = "black" if make_black else "white"
-                child = (
-                    tracer.add(node, f"cross {v}={tag}") if tracer is not None else None
-                )
-                if ok:
-                    self.resolve(child)
-                else:
-                    self._leaf(child, "invalid")
-                col.undo_to(mark)
-            return
+            return cross_info.cross[2], node
 
 
 def solve_domset(
@@ -259,9 +290,11 @@ def solve_domset(
 
     dominating_set defaults to find_dominating_set(g); passing a set that
     is not dominating is misuse and raises ValueError. observer, if given,
-    is called as observer(root_index, root_black_set, singles) after each
-    root that propagates to a stable coloring, in increasing root order.
-    tracer receives one node per propagation fixpoint for DOT output.
+    is called as observer(root_index, root_black_set, singles) at each
+    complete assignment of D that propagates stably, in increasing root
+    order; bit k of root_index is 1 when the k-th smallest vertex of D is
+    black. tracer receives one node per assignment in D and per
+    propagation fixpoint below a complete one, for DOT output.
     """
     if dominating_set is None:
         d_sorted = find_dominating_set(g)
@@ -272,46 +305,66 @@ def solve_domset(
         if not _is_dominating(g, d_sorted):
             raise ValueError("the given vertex set is not dominating")
 
-    roots = 1 << len(d_sorted)
+    col = Coloring(g)
+    state = col.state
     trace_top = (
-        tracer.add(None, f"{roots} roots over dominating set {list(d_sorted)}")
+        tracer.add(None, f"search over dominating set {list(d_sorted)}")
         if tracer
         else None
     )
-    col = Coloring(g)
-    base = col.mark()
     best: Dim | None = None
+    nodes = 0
     leaves_per_root: list[int] = []
     singles_per_root: list[int] = []
     bound = min(len(d_sorted), (g.n + 2) // 3)
-    for root in range(roots):
-        bits = " ".join(
-            f"{v}={'B' if (root >> k) & 1 else 'W'}" for k, v in enumerate(d_sorted)
-        )
-        node = tracer.add(trace_top, f"root {root}: {bits or 'empty'}") if tracer else None
-        ok = True
-        for k, v in enumerate(d_sorted):
-            if (root >> k) & 1:
-                ok = col.set_black(v)
-            else:
-                ok = col.set_white(v)
-            if not ok:
-                break
-        search = _RootSearch(col, tracer)
-        if ok:
-            result = col.propagate()
-            ok = result.stable
-            if ok and observer is not None:
-                root_blacks = frozenset(
-                    v for k, v in enumerate(d_sorted) if (root >> k) & 1
-                )
-                observer(root, root_blacks, result.singles)
-        if not ok:
-            search._leaf(node, "invalid")
-        else:
-            search.resolve(node)
-        col.undo_to(base)
 
+    # Depth-first over D from its last vertex to its first, white before
+    # black, so complete assignments arrive in increasing root order. A
+    # vertex that propagation already colored keeps its color. Entries are
+    # (index in D, color to give it or None for the start, trail mark to
+    # undo to first, parent trace node); the index bounds what is left.
+    stack: list[tuple[int, int | None, int, object]] = [
+        (len(d_sorted), None, col.mark(), trace_top)
+    ]
+    singles: tuple[int, ...] = ()
+    while stack:
+        k, color, mark, node = stack.pop()
+        col.undo_to(mark)
+        if color is not None:
+            nodes += 1
+            v = d_sorted[k]
+            ok = col.set_color(v, color)
+            if ok:
+                result = col.propagate()
+                ok = result.stable
+            if tracer:
+                node = tracer.add(node, f"{v}={'B' if color == BLACK else 'W'}")
+            if not ok:
+                if tracer:
+                    tracer.annotate(node, "invalid")
+                continue
+            singles = result.singles
+        k -= 1
+        while k >= 0 and state[d_sorted[k]] != UNCOLORED:
+            k -= 1
+        if k >= 0:
+            mark = col.mark()
+            stack.append((k, BLACK, mark, node))
+            stack.append((k, WHITE, mark, node))
+            continue
+
+        # a complete assignment of D that propagated stably
+        root = sum(1 << i for i, v in enumerate(d_sorted) if state[v] == BLACK)
+        if tracer:
+            bits = " ".join(
+                f"{v}={'B' if state[v] == BLACK else 'W'}" for v in d_sorted
+            )
+            node = tracer.add(node, f"root {root}: {bits or 'empty'}")
+        if observer is not None:
+            root_blacks = frozenset(v for v in d_sorted if state[v] == BLACK)
+            observer(root, root_blacks, singles)
+        search = _RootSearch(col, tracer)
+        search.resolve(node)
         q = search.singles_after_reduce or 0
         if q > bound or search.leaves > (1 << q):
             raise ContractViolation(
@@ -326,7 +379,8 @@ def solve_domset(
 
     stats = SolveStats(
         dominating_set_size=len(d_sorted),
-        roots_explored=roots,
+        search_nodes=nodes,
+        roots_explored=len(leaves_per_root),
         branch_leaves_per_root=tuple(leaves_per_root),
         residual_singles_per_root=tuple(singles_per_root),
     )

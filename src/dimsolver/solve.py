@@ -1,31 +1,27 @@
-"""Front door: preprocessing, algorithm selection, and result assembly.
+"""Front door: preprocessing, engine choice, and result assembly.
 
 Both exact algorithms enumerate the same solution space from different
-ends. The dominating set route explores 2^|D| colorings of a small
-dominating set D; the independent set route walks every maximal
-independent set, of which there are at most 3^(n/3). Auto selection
-picks domset only when |D| <= n*log2(3)/6 (about 0.264*n), that is when
-2^|D| <= sqrt(3^(n/3)); otherwise it picks mis.
+ends. The dominating set route searches the colorings of a small
+dominating set D depth-first and prunes every prefix that propagation
+refutes; the independent set route walks every maximal independent set,
+of which there are at most 3^(n/3). "auto" runs the dominating set
+route: with pruning it was never measurably slower than the independent
+set route on random and planted graphs, so nothing is selected.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import ContractViolation
-from .domset import SolveOutcome, find_dominating_set, solve_domset
+from .domset import SolveOutcome, solve_domset
 from .graph import Dim, Graph, PreprocessResult, preprocess, validate_dim
 from .mis import CountResult, count_dims, solve_mis
 from .oracle import brute_solve
 from .trace import DotTracer
 
 ALGORITHMS = ("auto", "domset", "mis", "brute")
-
-# log2 of the MIS-count base 3^(1/3). select_algorithm compares |D| with
-# half this slope times n, so domset needs 2^|D| <= sqrt(3^(n/3)).
-_MIS_EXPONENT_PER_VERTEX = math.log2(3.0) / 3.0
 
 
 @dataclass(frozen=True)
@@ -38,32 +34,14 @@ class InstanceResult:
     preprocess: PreprocessResult
 
 
-def select_algorithm(g: Graph) -> tuple[str, Optional[list[int]]]:
-    """Pick an enumeration for a preprocessed graph by the rule above.
-
-    Returns ("domset", d) with the dominating set it found, or
-    ("mis", None).
-    """
-    d = find_dominating_set(g)
-    if len(d) <= g.n * _MIS_EXPONENT_PER_VERTEX / 2.0:
-        return "domset", d
-    return "mis", None
-
-
 def _solve_residual(
     residual: Graph,
     algo: str,
     observer,
     tracer: Optional[DotTracer],
 ) -> tuple[str, SolveOutcome]:
-    d = None
-    if algo == "auto":
-        if tracer is not None:
-            algo = "domset"
-        else:
-            algo, d = select_algorithm(residual)
-    if algo == "domset":
-        return "domset", solve_domset(residual, d, observer=observer, tracer=tracer)
+    if algo in ("auto", "domset"):
+        return "domset", solve_domset(residual, observer=observer, tracer=tracer)
     if tracer is not None:
         raise ValueError("branch tracing is only available with the domset algorithm")
     if algo == "mis":

@@ -59,6 +59,7 @@ def test_nodim_instances_render_in_report(tmp_path):
 def test_bound_checker_flags_fabricated_breaches():
     stats = SolveStats(
         dominating_set_size=2,
+        search_nodes=6,
         roots_explored=5,
         branch_leaves_per_root=(9, 1, 1, 1),
         residual_singles_per_root=(3, 0, 0, 0),

@@ -5,6 +5,8 @@ statistics with their guaranteed ceilings, observer and tracer hooks, and
 agreement with the brute-force oracle on a random corpus.
 """
 
+import sys
+
 import pytest
 
 from dimsolver import (
@@ -17,6 +19,7 @@ from dimsolver import (
     solve_domset,
     validate_dim,
 )
+from dimsolver.domset import _RootSearch
 from support import (
     C4_UNIT,
     C6_UNIT,
@@ -126,9 +129,12 @@ def test_c6_stats_with_forced_dominating_set():
     assert out.dim.weight == 2.0
     st = out.stats
     assert st.dominating_set_size == 2
-    assert st.roots_explored == 4
-    assert st.branch_leaves_per_root == (1, 1, 1, 2)
-    assert st.residual_singles_per_root == (0, 0, 0, 2)
+    # 3=W forces 2 and 4 black, they pair with 1 and 5, and 0 turns white:
+    # root 1 (0=B 3=W) is never tried. Under 3=B both colors of 0 are.
+    assert st.search_nodes == 4
+    assert st.roots_explored == 3
+    assert st.branch_leaves_per_root == (1, 1, 2)
+    assert st.residual_singles_per_root == (0, 0, 2)
 
 
 def test_stats_respect_ceilings():
@@ -137,6 +143,8 @@ def test_stats_respect_ceilings():
         st = out.stats
         d = st.dominating_set_size
         assert st.roots_explored <= 2 ** d
+        # at most a full binary tree over D, its top excluded
+        assert st.search_nodes <= 2 ** (d + 1) - 2
         cap = min(d, (g.n + 2) // 3)
         for leaves, q in zip(
             st.branch_leaves_per_root, st.residual_singles_per_root
@@ -172,7 +180,8 @@ def test_observer_sees_each_stable_root():
     )
     assert out.dim is not None
     roots = [r for r, _, _ in seen]
-    assert roots == sorted(roots) and len(set(roots)) == len(roots)
+    # root 1 (0=B 3=W) is pruned: 3=W forces 0 white
+    assert roots == [0, 2, 3]
     for root, blacks, singles in seen:
         expect = frozenset(v for k, v in enumerate([0, 3]) if (root >> k) & 1)
         assert blacks == expect
@@ -207,3 +216,35 @@ def test_isolated_vertices_are_fine_without_preprocess():
     g = graph(5, [(1, 2, 4.0), (2, 3, 1.0)])
     out = solve_domset(g)
     assert out.dim is not None and out.dim.weight == 1.0
+
+
+def test_resolve_branches_without_recursion():
+    # k copies of: singles s, t with parts {a, b} and {x, y, z}, cross
+    # edges a-x and a-y. Branching on a: white makes x and y black next to
+    # t (invalid), black settles the copy and leaves the next one, so the
+    # branch tree is a path k deep with k + 1 leaves.
+    k = 150
+    edges = []
+    for i in range(k):
+        s, t, a, b, x, y, z = range(7 * i, 7 * i + 7)
+        edges += [(s, a, 1.0), (s, b, 2.0), (t, x, 1.0), (t, y, 1.0),
+                  (t, z, 3.0), (a, x, 1.0), (a, y, 1.0)]
+    g = graph(7 * k, edges)
+    col = Coloring(g)
+    for i in range(k):
+        assert col.set_black(7 * i) and col.set_black(7 * i + 1)
+    assert col.propagate().stable
+
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)  # far fewer frames than k
+    try:
+        search = _RootSearch(col, None)
+        search.resolve(None)
+    finally:
+        sys.setrecursionlimit(old)
+    assert search.leaves == k + 1 and search.singles_after_reduce == 2 * k
+    assert search.best.weight == 4.0 * k
+    assert validate_dim(g, search.best.edge_ids)

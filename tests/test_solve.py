@@ -1,28 +1,37 @@
-"""Algorithm selection and end-to-end orchestration over raw input graphs."""
+"""Engine dispatch and end-to-end orchestration over raw input graphs."""
+
+import sys
 
 import pytest
 
 from dimsolver import (
+    Graph,
     brute_solve,
     count_instance,
-    select_algorithm,
     solve_instance,
     validate_dim,
 )
-from support import C5_UNIT, P4_527, cycle, graph, random_corpus, star
+from support import C5_UNIT, P4_527, cycle, graph, path, random_corpus, star
 
 ALL_ALGOS = ("auto", "domset", "mis", "brute")
 
 
-def test_selection_prefers_domset_for_tiny_dominating_sets():
-    algo, d = select_algorithm(star([1.0] * 9))
-    assert algo == "domset" and d == [0]
+def test_auto_runs_domset_on_tiny_dominating_sets():
+    g = star([1.0] * 9)
+    r = solve_instance(g, algo="auto")
+    assert r.algorithm == "domset"
+    assert r.stats.dominating_set_size == 1
+    assert r.dim == solve_instance(g, algo="domset").dim
 
 
-def test_selection_prefers_mis_for_spread_graphs():
-    algo, d = select_algorithm(cycle([1.0] * 10))
-    assert algo == "mis" and d is None
-    assert select_algorithm(graph(2, [(0, 1, 2.0)]))[0] == "mis"
+def test_auto_runs_domset_on_spread_graphs():
+    # cycles with |D| = n/2, and a lone edge that preprocessing removes
+    for g in (cycle([1.0] * 12), cycle([1.0, 2.0, 3.0] * 10), graph(2, [(0, 1, 2.0)])):
+        r = solve_instance(g, algo="auto")
+        assert r.algorithm == "domset"
+        assert r.dim == solve_instance(g, algo="domset").dim
+        assert r.dim.weight == solve_instance(g, algo="mis").dim.weight
+        assert r.stats.search_nodes <= 2 * g.n
 
 
 def test_all_algorithms_share_answers():
@@ -76,6 +85,8 @@ def test_reports_which_algorithm_ran():
     r = solve_instance(star([1.0] * 9), algo="auto")
     assert r.algorithm == "domset"
     r = solve_instance(cycle([1.0] * 10), algo="auto")
+    assert r.algorithm == "domset"
+    r = solve_instance(cycle([1.0] * 10), algo="mis")
     assert r.algorithm == "mis"
     r = solve_instance(P4_527, algo="brute")
     assert r.algorithm == "brute"
@@ -101,3 +112,55 @@ def test_auto_with_tracer_falls_back_to_domset():
     r = solve_instance(cycle([1.0] * 10), algo="auto", tracer=tracer)
     assert r.algorithm == "domset"
     assert "->" in tracer.to_dot()
+
+
+def chain_dim_weight(weights, closed):
+    """Minimum DIM weight of a path (closed=False) or cycle with these edge
+    weights in order, or None. In the line graph, a path or cycle of
+    edges, a DIM is a perfect code: consecutive chosen edges are exactly
+    three apart, so an offset fixes the whole set."""
+    m = len(weights)
+    best = None
+    for first in range(3 if closed else 2):
+        chosen = range(first, m, 3)
+        if closed:
+            ok = m % 3 == 0
+        else:
+            ok = chosen[-1] >= m - 2 if chosen else m == 0
+        if ok:
+            w = sum(weights[i] for i in chosen)
+            best = w if best is None else min(best, w)
+    return best
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_long_chains_solve_without_recursion(closed, default_recursion_limit):
+    weights = [float(i % 7 + 1) for i in range(2999 if not closed else 3000)]
+    g = cycle(weights) if closed else path(weights)
+    r = solve_instance(g, algo="auto")
+    assert r.dim is not None and validate_dim(g, r.dim.edge_ids)
+    assert r.dim.weight == chain_dim_weight(weights, closed)
+
+
+def test_wide_star_and_degenerate_graphs(default_recursion_limit):
+    spokes = [float(i % 11 + 2) for i in range(3000)]
+    spokes[1777] = 1.0
+    r = solve_instance(star(spokes), algo="auto")
+    assert r.dim.weight == 1.0 and r.dim.edge_ids == frozenset({1777})
+
+    for g in (Graph(0, ()), Graph(5, ())):
+        r = solve_instance(g, algo="auto")
+        assert r.dim.weight == 0.0 and r.dim.edge_ids == frozenset()
+    g = graph(6, [(0, 1, 2.0), (2, 3, 3.0), (4, 5, 4.0)])
+    r = solve_instance(g, algo="auto")
+    assert r.dim.weight == 9.0 and r.dim.edge_ids == frozenset({0, 1, 2})
