@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .coloring import ContractViolation
 from .domset import SolveStats, find_dominating_set, solve_domset
 from .graph import format_weight, parse_graph, preprocess
 from .mis import solve_mis
@@ -89,11 +90,15 @@ def run_bench(corpus: str | Path) -> BenchReport:
         residual = preprocess(g).residual
         d = find_dominating_set(residual)
 
-        t0 = time.perf_counter()
-        dom = solve_domset(residual, d)
-        t1 = time.perf_counter()
-        mis = solve_mis(residual)
-        t2 = time.perf_counter()
+        try:
+            t0 = time.perf_counter()
+            dom = solve_domset(residual, d)
+            t1 = time.perf_counter()
+            mis = solve_mis(residual)
+            t2 = time.perf_counter()
+        except ContractViolation as exc:
+            violations.append(f"{path.name}: {exc}")
+            continue
 
         dw = dom.dim.weight if dom.dim is not None else None
         mw = mis.dim.weight if mis.dim is not None else None

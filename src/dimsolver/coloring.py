@@ -36,7 +36,6 @@ class ContractViolation(RuntimeError):
 class PropagationResult:
     stable: bool
     singles: tuple[int, ...] = ()
-    uncolored: tuple[int, ...] = ()
 
 
 class Coloring:
@@ -239,8 +238,7 @@ class Coloring:
         singles = tuple(
             v for v in range(g.n) if state[v] == BLACK and self.pair[v] == NO_PAIR
         )
-        uncolored = tuple(v for v in range(g.n) if state[v] == UNCOLORED)
-        return PropagationResult(stable=True, singles=singles, uncolored=uncolored)
+        return PropagationResult(stable=True, singles=singles)
 
     # -- queries ----------------------------------------------------------
 

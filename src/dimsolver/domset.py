@@ -1,25 +1,31 @@
 """Exact DIM solver branching over bi-colorings of a dominating set.
 
 Every DIM colors each vertex of a dominating set D white or black. The
-solver searches these assignments depth-first, one vertex of D at a time,
-and propagates the forcing rules after each one. Every rule holds in any
-DIM that extends the partial coloring, so a prefix whose propagation
-breaks has no DIM and its subtree is skipped; a vertex of D that
-propagation has already colored keeps its color. Each complete assignment
-that propagates stably is a root. Its leftover uncolored vertices split
-into parts, one per single black vertex, and each part is resolved by
-structure:
+solver runs one depth-first search and propagates the forcing rules after
+every assignment. Every rule holds in any DIM that extends the partial
+coloring, so an assignment whose propagation breaks has no DIM below it
+and its subtree is skipped. The search does three things:
 
-  dead    the part cannot host the single's pair; prune
-  forced  exactly one viable pair candidate; take it
-  free    several candidates, no edge into another part; the cheapest
-          candidate is optimal independently of everything else
-  cross   an edge links two parts; branch on its endpoint (black or white)
+  assign D  one vertex of D at a time, white before black; a vertex that
+            propagation has already colored keeps its color. Each
+            complete assignment that propagates stably is a root.
+  settle    the uncolored vertices left at a root split into parts, one
+            per single black vertex, and each part is settled by its
+            structure:
+              dead    the part cannot host the single's pair; prune
+              forced  exactly one viable pair candidate; take it
+              free    several candidates, no edge into another part; the
+                      cheapest candidate is optimal independently of
+                      everything else
+              cross   an edge links two parts
+  branch    on a cross edge's endpoint, black before white, then settle
+            again.
 
 Only cross parts branch, and each branch settles at least one single, so a
 root explores at most 2^q leaves where q is the number of singles left
 after the dead/forced reduction; q never exceeds min(|D|, ceil(n/3)).
-Those bounds are enforced at runtime, not assumed.
+Those bounds are enforced at runtime, not assumed: q when it is fixed,
+the leaf count as each leaf is reached.
 """
 
 from __future__ import annotations
@@ -157,129 +163,6 @@ def classify_part(
     return PartInfo(single, members, kind, candidates, cross)
 
 
-class _RootSearch:
-    """Mutable search state for one root: DFS, leaf count, best completion."""
-
-    __slots__ = ("col", "leaves", "singles_after_reduce", "best", "tracer")
-
-    def __init__(self, col: Coloring, tracer):
-        self.col = col
-        self.leaves = 0
-        self.singles_after_reduce: int | None = None
-        self.best: Dim | None = None
-        self.tracer = tracer
-
-    def _leaf(self, node, note: str) -> None:
-        self.leaves += 1
-        if self.tracer is not None and node is not None:
-            self.tracer.annotate(node, note)
-
-    def _complete(self, node) -> None:
-        if not self.col.is_total():
-            raise ContractViolation("stable coloring without singles is not total")
-        dim = self.col.to_dim()
-        if self.best is None or dim.weight < self.best.weight:
-            self.best = dim
-        self._leaf(node, f"complete w={format_weight(dim.weight)}")
-
-    def _spoke_weight(self, single: int, v: int) -> float:
-        eid = self.col.graph.edge_id(single, v)
-        assert eid is not None
-        return self.col.graph.edges[eid][2]
-
-    def resolve(self, node) -> None:
-        """Resolve all parts below the current stable coloring.
-
-        Cross branches wait on an explicit stack of (mark, branch, node)
-        entries, so the depth (up to q <= n/3) never meets the recursion
-        limit; the black branch runs before the white one.
-        """
-        col = self.col
-        tracer = self.tracer
-        stack: list[tuple[int, tuple[int, bool] | None, object]] = [
-            (col.mark(), None, node)
-        ]
-        while stack:
-            mark, branch, node = stack.pop()
-            col.undo_to(mark)
-            if branch is not None:
-                v, make_black = branch
-                ok = (
-                    col.set_black(v) if make_black else col.set_white(v)
-                ) and col.propagate().stable
-                if tracer is not None:
-                    tag = "black" if make_black else "white"
-                    node = tracer.add(node, f"cross {v}={tag}")
-                if not ok:
-                    self._leaf(node, "invalid")
-                    continue
-            cross = self._reduce(node)
-            if cross is not None:
-                v, node = cross
-                # v black pairs its own single; v white forces the far
-                # endpoint black, pairing the other part's single
-                mark = col.mark()
-                stack.append((mark, (v, False), node))
-                stack.append((mark, (v, True), node))
-
-    def _reduce(self, node):
-        """Settle dead, forced and free parts in place; return (v, node)
-        for the cross vertex to branch on, or None once this branch has
-        reached its leaf."""
-        col = self.col
-        tracer = self.tracer
-        while True:
-            parts = col.uncolored_partition()
-            if not parts:
-                self._complete(node)
-                return None
-            singles = sorted(parts)
-            part_of = {u: s for s, us in parts.items() for u in us}
-            part_index = {s: i for i, s in enumerate(singles)}
-            infos = [
-                classify_part(col, s, parts[s], part_of, part_index) for s in singles
-            ]
-
-            dead = next((i for i in infos if i.kind == "dead"), None)
-            if dead is not None:
-                self._leaf(node, f"dead s={dead.single}")
-                return None
-
-            forced = next((i for i in infos if i.kind == "forced"), None)
-            if forced is not None:
-                v = forced.candidates[0]
-                ok = col.set_black(v) and col.propagate().stable
-                if tracer is not None:
-                    node = tracer.add(node, f"forced {v} pairs {forced.single}")
-                if not ok:
-                    self._leaf(node, "invalid")
-                    return None
-                continue
-
-            if self.singles_after_reduce is None:
-                # dead/forced exhausted for the first time in this root
-                self.singles_after_reduce = len(singles)
-
-            free = next((i for i in infos if i.kind == "free"), None)
-            if free is not None:
-                v = min(
-                    free.candidates,
-                    key=lambda c: (self._spoke_weight(free.single, c), c),
-                )
-                ok = col.set_black(v) and col.propagate().stable
-                if tracer is not None:
-                    node = tracer.add(node, f"free {v} pairs {free.single}")
-                if not ok:
-                    # free choices cannot clash with anything outside the part
-                    self._leaf(node, "invalid")
-                    return None
-                continue
-
-            cross_info = next(i for i in infos if i.kind == "cross")
-            assert cross_info.cross is not None
-            return cross_info.cross[2], node
-
-
 def solve_domset(
     g: Graph,
     dominating_set: Sequence[int] | None = None,
@@ -304,8 +187,16 @@ def solve_domset(
             raise ValueError("dominating set contains out-of-range vertex ids")
         if not _is_dominating(g, d_sorted):
             raise ValueError("the given vertex set is not dominating")
+    return _search(Coloring(g), d_sorted, observer, tracer)
 
-    col = Coloring(g)
+
+def _search(
+    col: Coloring, d_sorted: Sequence[int], observer: Observer | None, tracer
+) -> SolveOutcome:
+    """The search of solve_domset below col, a stable coloring; the
+    vertices of the sorted dominating set d_sorted that col leaves
+    uncolored are assigned, the others keep their colors."""
+    g = col.graph
     state = col.state
     trace_top = (
         tracer.add(None, f"search over dominating set {list(d_sorted)}")
@@ -317,65 +208,131 @@ def solve_domset(
     leaves_per_root: list[int] = []
     singles_per_root: list[int] = []
     bound = min(len(d_sorted), (g.n + 2) // 3)
-
-    # Depth-first over D from its last vertex to its first, white before
-    # black, so complete assignments arrive in increasing root order. A
-    # vertex that propagation already colored keeps its color. Entries are
-    # (index in D, color to give it or None for the start, trail mark to
-    # undo to first, parent trace node); the index bounds what is left.
-    stack: list[tuple[int, int | None, int, object]] = [
-        (len(d_sorted), None, col.mark(), trace_top)
-    ]
+    root = 0
+    q: int | None = None
     singles: tuple[int, ...] = ()
+
+    # Entries are (index in D of the vertex to color, or -1 below a root;
+    # that vertex; its color, or None for the start; trail mark to undo to
+    # first; parent trace node). D is assigned from its last vertex to its
+    # first, white before black, so roots arrive in increasing root order.
+    stack: list[tuple[int, int, int | None, int, object]] = [
+        (len(d_sorted), -1, None, col.mark(), trace_top)
+    ]
     while stack:
-        k, color, mark, node = stack.pop()
+        k, v, color, mark, node = stack.pop()
         col.undo_to(mark)
+        note = None
         if color is not None:
-            nodes += 1
-            v = d_sorted[k]
             ok = col.set_color(v, color)
             if ok:
                 result = col.propagate()
                 ok = result.stable
+            if k >= 0:
+                nodes += 1
             if tracer:
-                node = tracer.add(node, f"{v}={'B' if color == BLACK else 'W'}")
+                black = color == BLACK
+                if k >= 0:
+                    label = f"{v}={'B' if black else 'W'}"
+                else:
+                    label = f"cross {v}={'black' if black else 'white'}"
+                node = tracer.add(node, label)
             if not ok:
-                if tracer:
-                    tracer.annotate(node, "invalid")
-                continue
-            singles = result.singles
-        k -= 1
-        while k >= 0 and state[d_sorted[k]] != UNCOLORED:
-            k -= 1
-        if k >= 0:
-            mark = col.mark()
-            stack.append((k, BLACK, mark, node))
-            stack.append((k, WHITE, mark, node))
-            continue
+                note = "invalid"
+            elif k >= 0:
+                singles = result.singles
 
-        # a complete assignment of D that propagated stably
-        root = sum(1 << i for i, v in enumerate(d_sorted) if state[v] == BLACK)
+        if note is None and k >= 0:
+            k -= 1
+            while k >= 0 and state[d_sorted[k]] != UNCOLORED:
+                k -= 1
+            if k >= 0:
+                mark = col.mark()
+                stack.append((k, d_sorted[k], BLACK, mark, node))
+                stack.append((k, d_sorted[k], WHITE, mark, node))
+                continue
+            # a complete assignment of D that propagated stably
+            root = sum(1 << i for i, u in enumerate(d_sorted) if state[u] == BLACK)
+            if tracer:
+                bits = " ".join(
+                    f"{u}={'B' if state[u] == BLACK else 'W'}" for u in d_sorted
+                )
+                node = tracer.add(node, f"root {root}: {bits or 'empty'}")
+            if observer is not None:
+                root_blacks = frozenset(u for u in d_sorted if state[u] == BLACK)
+                observer(root, root_blacks, singles)
+            leaves_per_root.append(0)
+            singles_per_root.append(0)
+            q = None
+
+        # settle dead, forced and free parts in place until this branch
+        # reaches a leaf or a cross vertex to branch on
+        while note is None:
+            parts = col.uncolored_partition()
+            if not parts:
+                dim = col.to_dim()
+                # strict: ties keep the earliest leaf in search order
+                if best is None or dim.weight < best.weight:
+                    best = dim
+                note = f"complete w={format_weight(dim.weight)}"
+                break
+            owners = sorted(parts)
+            part_of = {u: s for s, us in parts.items() for u in us}
+            part_index = {s: i for i, s in enumerate(owners)}
+            infos = [
+                classify_part(col, s, parts[s], part_of, part_index) for s in owners
+            ]
+
+            dead = next((i for i in infos if i.kind == "dead"), None)
+            if dead is not None:
+                note = f"dead s={dead.single}"
+                break
+            info = next((i for i in infos if i.kind == "forced"), None)
+            if info is not None:
+                v = info.candidates[0]
+            else:
+                if q is None:
+                    # dead/forced exhausted for the first time in this root
+                    q = singles_per_root[-1] = len(owners)
+                    if q > bound:
+                        raise ContractViolation(
+                            f"root {root}: singles after reduce={q} > "
+                            f"min(|D|, ceil(n/3))={bound}"
+                        )
+                info = next((i for i in infos if i.kind == "free"), None)
+                if info is None:
+                    # v black pairs its own single; v white forces the far
+                    # endpoint black, pairing the other part's single
+                    cross = next(i for i in infos if i.kind == "cross").cross
+                    assert cross is not None
+                    mark = col.mark()
+                    stack.append((-1, cross[2], WHITE, mark, node))
+                    stack.append((-1, cross[2], BLACK, mark, node))
+                    break
+                s = info.single
+                v = min(
+                    info.candidates, key=lambda c: (g.edges[g.edge_id(s, c)][2], c)
+                )
+            ok = col.set_black(v) and col.propagate().stable
+            if tracer:
+                node = tracer.add(node, f"{info.kind} {v} pairs {info.single}")
+            if not ok:
+                # no DIM below: a forced pair had no alternative, and a
+                # free choice cannot clash with anything outside its part
+                note = "invalid"
+
+        if note is None:
+            continue
         if tracer:
-            bits = " ".join(
-                f"{v}={'B' if state[v] == BLACK else 'W'}" for v in d_sorted
-            )
-            node = tracer.add(node, f"root {root}: {bits or 'empty'}")
-        if observer is not None:
-            root_blacks = frozenset(v for v in d_sorted if state[v] == BLACK)
-            observer(root, root_blacks, singles)
-        search = _RootSearch(col, tracer)
-        search.resolve(node)
-        q = search.singles_after_reduce or 0
-        if q > bound or search.leaves > (1 << q):
+            tracer.annotate(node, note)
+        if k >= 0:
+            continue  # a refuted assignment in D, not a leaf
+        leaves_per_root[-1] += 1
+        if leaves_per_root[-1] > 1 << (q or 0):
             raise ContractViolation(
-                f"root {root}: leaves={search.leaves}, singles after reduce={q}, "
-                f"bound=2^min(|D|, ceil(n/3))=2^{bound}"
+                f"root {root}: leaves={leaves_per_root[-1]} > 2^q, "
+                f"singles after reduce q={q or 0}"
             )
-        leaves_per_root.append(search.leaves)
-        singles_per_root.append(q)
-        # strict: ties keep the earliest root
-        if search.best is not None and (best is None or search.best.weight < best.weight):
-            best = search.best
 
     stats = SolveStats(
         dominating_set_size=len(d_sorted),

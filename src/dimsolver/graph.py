@@ -63,6 +63,9 @@ class Graph:
             norm.append((u, v, w))
             adj[u].append((v, eid))
             adj[v].append((u, eid))
+        # every DIM weight is a partial sum of the edge weights
+        if not math.isfinite(sum(w for _, _, w in norm)):
+            raise ValueError("total edge weight is not finite")
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 

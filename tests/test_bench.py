@@ -2,7 +2,15 @@
 
 import pytest
 
-from dimsolver import SolveStats, run_bench, serialize_graph, gen_instance
+import dimsolver.bench
+import dimsolver.cli
+from dimsolver import (
+    ContractViolation,
+    SolveStats,
+    gen_instance,
+    run_bench,
+    serialize_graph,
+)
 from dimsolver.bench import _check_bounds
 
 
@@ -71,6 +79,28 @@ def test_bound_checker_flags_fabricated_breaches():
     assert "3 singles" in text
     assert "9 leaves" in text
     assert "maximal independent sets" in text
+
+
+def test_engine_breach_is_one_violation_not_an_abort(tmp_path, monkeypatch, capsys):
+    real = dimsolver.bench.solve_domset
+
+    def breaks_on_p5(g, d):
+        if g.n == 5:
+            raise ContractViolation("root 0: leaves=3 > 2^1")
+        return real(g, d)
+
+    monkeypatch.setattr(dimsolver.bench, "solve_domset", breaks_on_p5)
+    write_corpus(tmp_path, [(f"p{n}.dim", "path", n, n) for n in (4, 5, 6)])
+    report = run_bench(tmp_path)
+    assert [r.name for r in report.rows] == ["p4.dim", "p6.dim"]
+    assert report.violations == ("p5.dim: root 0: leaves=3 > 2^1",)
+
+    tsv = tmp_path / "report.tsv"
+    code = dimsolver.cli.main(["bench", "--corpus", str(tmp_path), "--report", str(tsv)])
+    assert code == 3
+    assert "p5.dim" in capsys.readouterr().err
+    lines = tsv.read_text().splitlines()
+    assert len(lines) == 4 and lines[-1].startswith("# VIOLATION\tp5.dim")
 
 
 def test_violations_render_in_tsv(tmp_path):

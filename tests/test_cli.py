@@ -102,6 +102,17 @@ def test_malformed_graph_is_an_input_error(capsys):
     assert "out of range" in out.err
 
 
+@pytest.mark.parametrize("command", ["solve", "count"])
+def test_overflowing_total_weight_is_an_input_error(command, capsys):
+    # a P7 of 1e308 edges: each weight parses, the optimum would be inf
+    text = "p dim 7 6\n" + "".join(f"e {i} {i + 1} 1e308\n" for i in range(1, 7))
+    code = run([command], stdin=text)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error:")
+    assert out.out == ""
+
+
 def test_trace_writes_dot(p4_file, tmp_path, capsys):
     dot = tmp_path / "tree.dot"
     code = run(["solve", "--input", str(p4_file), "--trace", f"dot:{dot}"])

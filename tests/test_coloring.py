@@ -62,7 +62,7 @@ def test_white_forces_neighbors_black():
     assert res.stable
     assert colors(col) == bytes([WHITE, BLACK, BLACK])
     assert col.pair[1] == 2
-    assert res.singles == () and res.uncolored == ()
+    assert res.singles == () and col.is_total()
 
 
 def test_paired_black_whitens_other_neighbors():
@@ -94,7 +94,7 @@ def test_single_with_one_exit_pulls_it_black():
     assert colors(col) == bytes([BLACK, WHITE, BLACK, BLACK])
     assert col.pair[2] == 3 and col.pair[3] == 2
     assert res.singles == (0,)
-    assert res.uncolored == ()
+    assert col.is_total()
     assert col.uncolored_partition() == {0: []}
 
 
@@ -113,7 +113,7 @@ def test_star_center_black_stalls_with_leaves_uncolored():
     res = col.propagate()
     assert res.stable
     assert res.singles == (0,)
-    assert set(res.uncolored) == {1, 2, 3}
+    assert {v for v in range(4) if col.state[v] == UNCOLORED} == {1, 2, 3}
     assert col.uncolored_partition() == {0: [1, 2, 3]}
 
 
@@ -140,7 +140,7 @@ def test_empty_singles_means_total():
         res = col.propagate()
         if res.stable and not res.singles:
             hits += 1
-            assert not res.uncolored
+            assert col.is_total()
     assert hits > 20  # the corpus must actually exercise the property
 
 

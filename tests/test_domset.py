@@ -19,7 +19,7 @@ from dimsolver import (
     solve_domset,
     validate_dim,
 )
-from dimsolver.domset import _RootSearch
+from dimsolver.domset import _search
 from support import (
     C4_UNIT,
     C6_UNIT,
@@ -187,6 +187,32 @@ def test_observer_sees_each_stable_root():
         assert blacks == expect
 
 
+C6_DOT = """\
+digraph branchtree {
+  node [shape=box];
+  n0 [label="search over dominating set [0, 3]"];
+  n1 [label="3=W"];
+  n2 [label="root 0: 0=W 3=W\\ncomplete w=2"];
+  n3 [label="3=B"];
+  n4 [label="0=W"];
+  n5 [label="root 2: 0=W 3=B\\ndead s=1"];
+  n6 [label="0=B"];
+  n7 [label="root 3: 0=B 3=B"];
+  n8 [label="cross 1=black\\ncomplete w=2"];
+  n9 [label="cross 1=white\\ncomplete w=2"];
+  n0 -> n1;
+  n1 -> n2;
+  n0 -> n3;
+  n3 -> n4;
+  n4 -> n5;
+  n3 -> n6;
+  n6 -> n7;
+  n7 -> n8;
+  n7 -> n9;
+}
+"""
+
+
 def test_tracer_records_branches():
     tracer = DotTracer()
     out = solve_domset(C6_UNIT, dominating_set=[0, 3], tracer=tracer)
@@ -195,6 +221,9 @@ def test_tracer_records_branches():
     assert dot.startswith("digraph")
     assert "root 3" in dot
     assert dot.count("->") >= 4
+    # the whole branch tree: D assignments, roots, settled parts, cross
+    # branches and leaf notes, in search order
+    assert dot == C6_DOT
 
     # leaf labels print weights exactly, as solve prints them
     tracer = DotTracer()
@@ -231,8 +260,9 @@ def test_resolve_branches_without_recursion():
                   (t, z, 3.0), (a, x, 1.0), (a, y, 1.0)]
     g = graph(7 * k, edges)
     col = Coloring(g)
-    for i in range(k):
-        assert col.set_black(7 * i) and col.set_black(7 * i + 1)
+    blacks = [v for i in range(k) for v in (7 * i, 7 * i + 1)]
+    for v in blacks:
+        assert col.set_black(v)
     assert col.propagate().stable
 
     depth, frame = 0, sys._getframe()
@@ -241,10 +271,11 @@ def test_resolve_branches_without_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)  # far fewer frames than k
     try:
-        search = _RootSearch(col, None)
-        search.resolve(None)
+        # the singles dominate and are all black already: one root
+        out = _search(col, blacks, None, None)
     finally:
         sys.setrecursionlimit(old)
-    assert search.leaves == k + 1 and search.singles_after_reduce == 2 * k
-    assert search.best.weight == 4.0 * k
-    assert validate_dim(g, search.best.edge_ids)
+    assert out.stats.branch_leaves_per_root == (k + 1,)
+    assert out.stats.residual_singles_per_root == (2 * k,)
+    assert out.dim.weight == 4.0 * k
+    assert validate_dim(g, out.dim.edge_ids)

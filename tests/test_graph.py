@@ -37,6 +37,9 @@ def test_construction_rejects_bad_edges():
         graph(2, [(0, 1, math.nan)])
     with pytest.raises(ValueError):
         graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
+    with pytest.raises(ValueError):
+        # every weight is finite, their total is not
+        graph(7, [(i, i + 1, 1e308) for i in range(6)])
 
 
 def test_parse_roundtrip_golden():
