@@ -41,7 +41,6 @@ from .mis import (
     CountResult,
     InducedColoring,
     MisStats,
-    complete_min,
     count_dims,
     enumerate_mis,
     induced_coloring,
@@ -93,7 +92,6 @@ __all__ = [
     "brute_mis",
     "brute_solve",
     "classify_part",
-    "complete_min",
     "count_dims",
     "count_instance",
     "enumerate_mis",

@@ -21,20 +21,25 @@ and its subtree is skipped. The search does three things:
   branch    on a cross edge's endpoint, black before white, then settle
             again.
 
-Only cross parts branch, and each branch settles at least one single, so a
-root explores at most 2^q leaves where q is the number of singles left
-after the dead/forced reduction; q never exceeds min(|D|, ceil(n/3)).
-Those bounds are enforced at runtime, not assumed: q when it is fixed,
-the leaf count as each leaf is reached.
+There are at most 2^|D| roots. Only cross parts branch, and each branch
+settles at least one single, so a root explores at most 2^q leaves where
+q is the number of singles left after the dead/forced reduction; q never
+exceeds min(|D|, ceil(n/3)). Those bounds are enforced at runtime, not
+assumed: the root count as each root is reached, q when it is fixed, the
+leaf count as each leaf is reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .coloring import BLACK, UNCOLORED, WHITE, Coloring, ContractViolation
 from .graph import Dim, Graph, format_weight, validate_dim
+
+if TYPE_CHECKING:
+    from .mis import MisStats
+    from .oracle import OracleResult
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class SolveOutcome:
     """Result of an exact solver: a minimum-weight DIM or a certified absence."""
 
     dim: Dim | None
-    stats: object
+    stats: SolveStats | MisStats | OracleResult
 
 
 Observer = Callable[[int, frozenset[int], tuple[int, ...]], None]
@@ -98,16 +103,15 @@ class PartInfo:
 
     candidates are the viable pair choices for the single: the maximum
     degree vertices of the subgraph induced by the part, which must be a
-    star plus an independent set. cross is the lexicographically smallest
-    (part index, other part index, vertex, other vertex) edge leaving the
-    part, if any.
+    star plus an independent set. cross is the edge (a, b) leaving the
+    part, a inside it, with the smallest (owner of b, a, b), if any.
     """
 
     single: int
     members: tuple[int, ...]
     kind: str  # "dead" | "forced" | "free" | "cross"
     candidates: tuple[int, ...]
-    cross: tuple[int, int, int, int] | None
+    cross: tuple[int, int] | None
 
 
 def classify_part(
@@ -115,10 +119,9 @@ def classify_part(
     single: int,
     members: Sequence[int],
     part_of: dict[int, int],
-    part_index: dict[int, int],
 ) -> PartInfo:
     """Classify N_U(single); part_of maps uncolored vertices to their
-    single, part_index maps singles to their rank among all singles."""
+    single."""
     g = col.graph
     members = tuple(sorted(members))
     if not members:
@@ -126,16 +129,14 @@ def classify_part(
     member_set = set(members)
 
     induced: list[tuple[int, int]] = []
-    cross_edges: list[tuple[int, int, int, int]] = []
-    own = part_index[single]
+    cross_edges: list[tuple[int, int, int]] = []
     for a in members:
         for b, _ in g.adjacency[a]:
             if b in member_set:
                 if a < b:
                     induced.append((a, b))
             elif col.state[b] == UNCOLORED:
-                other = part_index[part_of[b]]
-                cross_edges.append((own, other, a, b))
+                cross_edges.append((part_of[b], a, b))
 
     if induced:
         x, y = induced[0]
@@ -153,7 +154,7 @@ def classify_part(
     else:
         candidates = members
 
-    cross = min(cross_edges) if cross_edges else None
+    cross = min(cross_edges)[1:] if cross_edges else None
     if len(candidates) == 1:
         kind = "forced"
     elif cross is not None:
@@ -264,6 +265,11 @@ def _search(
             leaves_per_root.append(0)
             singles_per_root.append(0)
             q = None
+            if len(leaves_per_root) > 1 << len(d_sorted):
+                raise ContractViolation(
+                    f"explored {len(leaves_per_root)} roots > 2^|D| = "
+                    f"{1 << len(d_sorted)}"
+                )
 
         # settle dead, forced and free parts in place until this branch
         # reaches a leaf or a cross vertex to branch on
@@ -278,10 +284,7 @@ def _search(
                 break
             owners = sorted(parts)
             part_of = {u: s for s, us in parts.items() for u in us}
-            part_index = {s: i for i, s in enumerate(owners)}
-            infos = [
-                classify_part(col, s, parts[s], part_of, part_index) for s in owners
-            ]
+            infos = [classify_part(col, s, parts[s], part_of) for s in owners]
 
             dead = next((i for i in infos if i.kind == "dead"), None)
             if dead is not None:
@@ -306,8 +309,8 @@ def _search(
                     cross = next(i for i in infos if i.kind == "cross").cross
                     assert cross is not None
                     mark = col.mark()
-                    stack.append((-1, cross[2], WHITE, mark, node))
-                    stack.append((-1, cross[2], BLACK, mark, node))
+                    stack.append((-1, cross[0], WHITE, mark, node))
+                    stack.append((-1, cross[0], BLACK, mark, node))
                     break
                 s = info.single
                 v = min(

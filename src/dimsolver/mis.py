@@ -2,14 +2,18 @@
 
 The white side of any DIM is an independent set, and on graphs without
 isolated edges its non-matched vertices lie in exactly one maximal
-independent set. So: enumerate every MIS I, color V minus I black, and
-read off the forced structure. Blacks pair up among themselves; a black
-with two black neighbors kills the MIS. A member of I can only ever turn
-black if it has degree exactly 1 and its sole neighbor is a single black,
-so exactly those members stay uncolored as pair candidates; everything
-else in I is white. Each single must pick one of its uncolored neighbors,
-choices are independent, and picking cheapest per single is optimal. The
-same product structure counts all DIMs without duplicates.
+independent set. So: enumerate every MIS I and color V minus I black;
+induced_coloring reduces each I once. Blacks pair up among themselves; a
+black with two black neighbors kills the MIS. A member of I can only ever
+turn black if it has degree exactly 1 and its sole neighbor is a single
+black, so exactly those members are the pair options of the singles;
+everything else in I is white. Each single must pick one of its options,
+choices are independent, and picking cheapest per single is optimal:
+solve_mis reads its DIM off the reduction. The same product structure
+counts all DIMs without duplicates in count_dims.
+
+There are at most 3^ceil(n/3) maximal independent sets (Moon and Moser);
+enumerate_mis raises ContractViolation rather than yield more.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .coloring import BLACK, NO_PAIR, UNCOLORED, Coloring, ContractViolation
+from .coloring import NO_PAIR, Coloring, ContractViolation
 from .domset import SolveOutcome
 from .graph import Dim, Graph, validate_dim
 
@@ -53,12 +57,15 @@ def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
     kept only when this MIS is its canonical (greedily re-extended) parent,
     which makes the emission duplicate-free without storing any sets.
     Iterative stack, polynomial delay per set, deterministic order.
+    Raises ContractViolation before yielding more than 3^ceil(n/3) sets.
     """
     n = g.n
     if n == 0:
         yield frozenset()
         return
     adj = _adjacency_masks(g)
+    cap = 3 ** ((n + 2) // 3)
+    found = 0
     stack: list[tuple[int, int]] = [(0, 0)]
     while stack:
         k, cur = stack.pop()
@@ -72,6 +79,11 @@ def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
                 ) == cur:
                     stack.append((k + 1, cand))
             k += 1
+        found += 1
+        if found > cap:
+            raise ContractViolation(
+                f"enumerated {found} maximal independent sets > 3^ceil(n/3) = {cap}"
+            )
         yield frozenset(v for v in range(n) if (cur >> v) & 1)
 
 
@@ -91,77 +103,52 @@ def _greedy_extend(adj: list[int], s: int, upto: int) -> int:
 
 @dataclass(frozen=True)
 class InducedColoring:
-    """The coloring a MIS forces, before pair choices for the singles.
+    """The reduction a MIS forces, before pair choices for the singles.
 
-    valid is False when some black vertex got two black neighbors. Each
-    single's pair_options lists its uncolored neighbors as (weight, vertex,
-    edge id), cheapest first; base_weight is the weight of the edges
-    already matched between paired blacks.
+    valid is False when some black vertex got two black neighbors. matched
+    holds the ids of the edges already matched between paired blacks, by
+    lower endpoint, and base_weight their total weight. Each single's
+    pair_options lists its candidate partners, the members of degree 1
+    next to it, as (weight, vertex, edge id), cheapest first.
     """
 
-    coloring: Coloring
     valid: bool
+    matched: tuple[int, ...]
     singles: tuple[int, ...]
-    uncolored: tuple[int, ...]
     pair_options: dict[int, tuple[tuple[float, int, int], ...]]
     base_weight: float
 
 
 def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
+    """Reduce one independent set; raises ContractViolation when it is not
+    independent."""
     col = Coloring(g)
     members = set(independent)
     for v in range(g.n):
-        if v not in members:
-            if not col.set_black(v):
-                return InducedColoring(col, False, (), (), {}, 0.0)
+        if v not in members and not col.set_black(v):
+            return InducedColoring(False, (), (), {}, 0.0)
+    for v in members:
+        if col.black_nbrs[v] != g.degree(v):
+            raise ContractViolation(f"vertex {v} has a neighbor inside the independent set")
 
-    uncolored = tuple(
-        v
-        for v in sorted(members)
-        if g.degree(v) == 1
-        and col.pair[g.adjacency[v][0][0]] == NO_PAIR
-    )
-    hold = set(uncolored)
-    for v in sorted(members):
-        if v not in hold:
-            if not col.set_white(v):
-                raise ContractViolation("white placement failed inside an independent set")
-
+    # a single has no black neighbor, so its neighbors are members; those
+    # of degree 1 are the only members that may still turn black
     singles = tuple(
-        v for v in range(g.n) if col.state[v] == BLACK and col.pair[v] == NO_PAIR
+        v for v in range(g.n) if v not in members and col.pair[v] == NO_PAIR
     )
-    options: dict[int, tuple[tuple[float, int, int], ...]] = {}
-    for s in singles:
-        opts = sorted(
-            (g.edges[eid][2], u, eid)
-            for u, eid in g.adjacency[s]
-            if col.state[u] == UNCOLORED
+    options = {
+        s: tuple(
+            sorted(
+                (g.edges[eid][2], u, eid)
+                for u, eid in g.adjacency[s]
+                if g.degree(u) == 1
+            )
         )
-        options[s] = tuple(opts)
-    base = sum(
-        g.edges[col.pair_edge[v]][2]
-        for v in range(g.n)
-        if col.state[v] == BLACK and col.pair[v] > v
-    )
-    return InducedColoring(col, True, singles, uncolored, options, float(base))
-
-
-def complete_min(g: Graph, ic: InducedColoring) -> Dim | None:
-    """Cheapest completion of an induced coloring, or None when impossible
-    (invalid coloring, or some single has no pair candidate)."""
-    if not ic.valid:
-        return None
-    if any(not ic.pair_options[s] for s in ic.singles):
-        return None
-    col = ic.coloring
-    for s in ic.singles:
-        _, v, _ = ic.pair_options[s][0]
-        if not col.set_black(v):
-            raise ContractViolation("pair choice broke validity")
-    for v in ic.uncolored:
-        if col.state[v] == UNCOLORED and not col.set_white(v):
-            raise ContractViolation("white completion broke validity")
-    return col.to_dim()
+        for s in singles
+    }
+    matched = tuple(col.pair_edge[v] for v in range(g.n) if col.pair[v] > v)
+    base = sum(g.edges[eid][2] for eid in matched)
+    return InducedColoring(True, matched, singles, options, float(base))
 
 
 def solve_mis(g: Graph) -> SolveOutcome:
@@ -171,13 +158,18 @@ def solve_mis(g: Graph) -> SolveOutcome:
     completions = 0
     for mis in enumerate_mis(g):
         mis_count += 1
-        dim = complete_min(g, induced_coloring(g, mis))
-        if dim is None:
+        ic = induced_coloring(g, mis)
+        if not ic.valid or not all(ic.pair_options[s] for s in ic.singles):
             continue
         completions += 1
+        # each single takes its cheapest option
+        ids = ic.matched + tuple(ic.pair_options[s][0][2] for s in ic.singles)
+        # summed by lower endpoint, as Coloring.to_dim sums, so the weight
+        # equals the domset engine's bit for bit
+        weight = sum((w for _, _, w in sorted(g.edges[eid] for eid in ids)), 0.0)
         # strict: ties keep the earliest MIS
-        if best is None or dim.weight < best.weight:
-            best = dim
+        if best is None or weight < best.weight:
+            best = Dim(frozenset(ids), weight)
 
     stats = MisStats(mis_count=mis_count, completions=completions)
     if best is None:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import ContractViolation
-from .domset import SolveOutcome, solve_domset
+from .domset import SolveOutcome, SolveStats, solve_domset
 from .graph import Dim, Graph, PreprocessResult, preprocess, validate_dim
-from .mis import CountResult, count_dims, solve_mis
-from .oracle import brute_solve
+from .mis import CountResult, MisStats, count_dims, solve_mis
+from .oracle import OracleResult, brute_solve
 from .trace import DotTracer
 
 ALGORITHMS = ("auto", "domset", "mis", "brute")
@@ -30,7 +30,7 @@ class InstanceResult:
 
     dim: Optional[Dim]
     algorithm: str
-    stats: object
+    stats: SolveStats | MisStats | OracleResult
     preprocess: PreprocessResult
 
 

@@ -1,4 +1,4 @@
-"""Benchmark runner: corpus discovery, bound checks, report shape."""
+"""Benchmark runner: corpus discovery, engine breaches, report shape."""
 
 import pytest
 
@@ -6,12 +6,10 @@ import dimsolver.bench
 import dimsolver.cli
 from dimsolver import (
     ContractViolation,
-    SolveStats,
     gen_instance,
     run_bench,
     serialize_graph,
 )
-from dimsolver.bench import _check_bounds
 
 
 def write_corpus(directory, specs):
@@ -64,30 +62,23 @@ def test_nodim_instances_render_in_report(tmp_path):
     assert "NODIM" in report.to_tsv()
 
 
-def test_bound_checker_flags_fabricated_breaches():
-    stats = SolveStats(
-        dominating_set_size=2,
-        search_nodes=6,
-        roots_explored=5,
-        branch_leaves_per_root=(9, 1, 1, 1),
-        residual_singles_per_root=(3, 0, 0, 0),
-    )
-    out = []
-    _check_bounds("bad.dim", 6, 2, stats, 100, out)
-    text = "\n".join(out)
-    assert "5 roots" in text
-    assert "3 singles" in text
-    assert "9 leaves" in text
-    assert "maximal independent sets" in text
+def test_malformed_file_stops_the_run_and_is_named(tmp_path, capsys):
+    write_corpus(tmp_path, [(f"p{n}.dim", "path", n, n) for n in (4, 6)])
+    (tmp_path / "p5.dim").write_text("p dim 2 1\ne 1 5 1\n")
+    code = dimsolver.cli.main(["bench", "--corpus", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: p5.dim: line 2: vertex id out of range in edge 1 5\n"
+    assert captured.out == ""
 
 
 def test_engine_breach_is_one_violation_not_an_abort(tmp_path, monkeypatch, capsys):
     real = dimsolver.bench.solve_domset
 
-    def breaks_on_p5(g, d):
+    def breaks_on_p5(g):
         if g.n == 5:
             raise ContractViolation("root 0: leaves=3 > 2^1")
-        return real(g, d)
+        return real(g)
 
     monkeypatch.setattr(dimsolver.bench, "solve_domset", breaks_on_p5)
     write_corpus(tmp_path, [(f"p{n}.dim", "path", n, n) for n in (4, 5, 6)])

@@ -5,12 +5,15 @@ statistics with their guaranteed ceilings, observer and tracer hooks, and
 agreement with the brute-force oracle on a random corpus.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
+import dimsolver.domset
 from dimsolver import (
     Coloring,
+    ContractViolation,
     DotTracer,
     brute_solve,
     classify_part,
@@ -59,10 +62,8 @@ def classify(g, blacks, single):
     res = col.propagate()
     assert res.stable
     parts = col.uncolored_partition()
-    singles = sorted(parts)
     part_of = {v: s for s, vs in parts.items() for v in vs}
-    part_index = {s: i for i, s in enumerate(singles)}
-    return classify_part(col, single, parts[single], part_of, part_index)
+    return classify_part(col, single, parts[single], part_of)
 
 
 def test_classify_empty_part_is_dead():
@@ -111,7 +112,7 @@ def test_classify_cross_edge_reported():
     )
     info = classify(g, [0, 5], 0)
     assert info.kind == "cross"
-    assert info.cross == (0, 1, 2, 3)
+    assert info.cross == (2, 3)
     assert info.candidates == (1, 2)
 
 
@@ -151,6 +152,34 @@ def test_stats_respect_ceilings():
         ):
             assert q <= cap
             assert leaves <= 2 ** q
+
+
+def test_search_raises_past_the_leaf_ceiling(monkeypatch):
+    # a free part branched on as if it were a cross part: the black-center
+    # root of STAR_419 (q = 1) then reaches 3 leaves > 2^1
+    real = dimsolver.domset.classify_part
+
+    def free_as_cross(col, single, members, part_of):
+        info = real(col, single, members, part_of)
+        if info.kind != "free":
+            return info
+        own = info.candidates[0]
+        return dataclasses.replace(info, kind="cross", cross=(own, own))
+
+    monkeypatch.setattr(dimsolver.domset, "classify_part", free_as_cross)
+    with pytest.raises(ContractViolation, match=r"leaves=3 > 2\^q, singles after reduce q=1"):
+        solve_domset(STAR_419)
+
+
+def test_search_raises_past_the_singles_ceiling():
+    # three stars with black centers; D = [0] caps q at min(|D|, ceil(n/3)) = 1
+    g = graph(12, [(c, c + i, 1.0) for c in (0, 4, 8) for i in (1, 2, 3)])
+    col = Coloring(g)
+    for c in (0, 4, 8):
+        assert col.set_black(c)
+    assert col.propagate().stable
+    with pytest.raises(ContractViolation, match=r"singles after reduce=3 > min\(\|D\|, ceil\(n/3\)\)=1"):
+        _search(col, [0], None, None)
 
 
 def test_oracle_agreement():

@@ -1,19 +1,22 @@
 """Independent set enumeration, induced colorings, and the DIM counter."""
 
 import itertools
+from unittest import mock
 
 import pytest
 
+import dimsolver.mis
 from dimsolver import (
+    ContractViolation,
     CountResult,
     Graph,
     brute_mis,
     brute_solve,
-    complete_min,
     count_dims,
     enumerate_mis,
     induced_coloring,
     preprocess,
+    solve_domset,
     solve_mis,
     validate_dim,
 )
@@ -26,6 +29,7 @@ from support import (
     STAR_419,
     graph,
     is_bipartite,
+    path,
     random_corpus,
 )
 
@@ -65,42 +69,69 @@ def test_enumeration_scales_without_recursion():
 def test_induced_coloring_star():
     ic = induced_coloring(STAR_419, {1, 2, 3})
     assert ic.valid
-    assert ic.singles == (0,)
-    assert set(ic.uncolored) == {1, 2, 3}
-    assert ic.pair_options[0][0] == (1.0, 2, 1)
+    assert ic.singles == (0,) and ic.matched == ()
+    assert ic.pair_options == {0: ((1.0, 2, 1), (4.0, 1, 0), (9.0, 3, 2))}
     assert ic.base_weight == 0.0
-    dim = complete_min(STAR_419, ic)
+    dim = solve_mis(STAR_419).dim
     assert dim.weight == 1.0 and dim.edge_ids == frozenset({1})
 
 
 def test_induced_coloring_adjacent_blacks_pair_up():
     ic = induced_coloring(P4_527, {0, 3})
-    assert ic.valid and ic.singles == () and ic.uncolored == ()
-    assert ic.base_weight == 2.0
-    dim = complete_min(P4_527, ic)
-    assert dim.edge_ids == frozenset({1})
+    assert ic.valid and ic.singles == () and ic.pair_options == {}
+    assert ic.matched == (1,) and ic.base_weight == 2.0
+    assert solve_mis(P4_527).dim.edge_ids == frozenset({1})
 
 
 def test_induced_coloring_dead_ends():
     # {1,3}: vertex 0 stays a single with no candidate, no completion
     ic = induced_coloring(P4_527, {1, 3})
-    assert ic.valid
-    assert complete_min(P4_527, ic) is None
-    # K3 minus nothing: independent set {0} leaves 1-2 paired; fine
+    assert ic.valid and ic.pair_options[0] == ()
+    # {0}: 1-2 paired; fine
     ic = induced_coloring(K3_123, {0})
-    assert ic.valid and complete_min(K3_123, ic) is not None
+    assert ic.valid and ic.singles == () and ic.matched == (2,)
+    assert solve_mis(K3_123).dim.edge_ids == frozenset({0})
     # three mutually adjacent blacks are invalid
     ic = induced_coloring(Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))), set())
     assert not ic.valid
+    # only {0, 3} of P4's maximal independent sets completes
+    out = solve_mis(P4_527)
+    assert (out.stats.mis_count, out.stats.completions) == (3, 1)
+
+
+def test_induced_coloring_rejects_dependent_sets():
+    with pytest.raises(ContractViolation, match="inside the independent set"):
+        induced_coloring(P4_527, {0, 1})
 
 
 def test_high_degree_members_never_turn_black():
     # member 1 of the independent set touches two blacks; only the
-    # degree-1 member 3 may stay uncolored
+    # degree-1 member 3 is a pair option
     g = graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     ic = induced_coloring(g, {1, 3})
     assert ic.valid
-    assert ic.uncolored == (3,)
+    assert ic.pair_options == {0: (), 2: ((1.0, 3, 2),)}
+
+
+def test_enumeration_raises_past_the_ceiling(monkeypatch):
+    # with both canonical-parent checks accepting every candidate, P6
+    # would yield 13 sets, duplicates included, > 3^ceil(6/3) = 9
+    monkeypatch.setattr(dimsolver.mis, "_maximal_prefix", lambda adj, s, upto: True)
+    monkeypatch.setattr(dimsolver.mis, "_greedy_extend", lambda adj, s, upto: mock.ANY)
+    with pytest.raises(ContractViolation, match=r"10 maximal independent sets > 3\^ceil\(n/3\) = 9"):
+        list(enumerate_mis(path([1.0] * 5)))
+
+
+def test_engines_report_the_same_bits():
+    # 0.7 + 0.2 + 0.2 summed by lower endpoint; base plus extras gives 1.1
+    g = graph(
+        8,
+        [(0, 3, 0.7), (0, 7, 0.3), (1, 5, 0.2), (2, 4, 0.2),
+         (2, 7, 0.7), (3, 7, 0.1), (5, 6, 0.3), (5, 7, 0.2)],
+    )
+    for out in (solve_mis(g), solve_domset(g)):
+        assert out.dim.weight == 1.0999999999999999
+        assert out.dim.edge_ids == frozenset({0, 2, 3})
 
 
 def test_solver_golden_weights():
