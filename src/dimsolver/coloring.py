@@ -3,18 +3,22 @@
 A coloring assigns each vertex Uncolored, White, or Black. The target total
 colorings are exactly the DIMs: whites form an independent set, blacks a
 1-regular induced subgraph (each black has one "pair"). Four forcing rules
-drive propagation:
+and one refutation drive propagation:
 
   * every neighbor of a white vertex is black
   * every neighbor of a paired black vertex, other than its pair, is white
   * a vertex with two black neighbors is white
   * a single (unpaired) black vertex with exactly one uncolored neighbor
     pairs with that neighbor, which becomes black
+  * a single black vertex with no uncolored neighbor refutes the coloring:
+    it can never be paired
 
-The first three rules have monotone preconditions and run off a FIFO
-worklist. The last one does not (coloring the target white disables it),
-so it fires in simultaneous batches at each worklist fixpoint; that makes
-the propagation outcome independent of processing order.
+All five run off one worklist; coloring a vertex enqueues it and its
+neighbors. Each rule's precondition stays true as more vertices are
+colored: the pairing rule reads "v is black and every neighbor but u is
+white, so u is black", the refutation "v is black and every neighbor is
+white". So the worklist reaches the same fixpoint, or the same
+refutation, in any processing order.
 """
 
 from __future__ import annotations
@@ -179,7 +183,8 @@ class Coloring:
         return v
 
     def _close_monotone(self, rng: random.Random | None) -> bool:
-        """Exhaust the three monotone rules; False on a validity break."""
+        """Run every rule to its fixpoint; False on a validity break or a
+        dead single."""
         state = self.state
         adjacency = self.graph.adjacency
         while self._head < len(self._pending):
@@ -195,11 +200,15 @@ class Coloring:
                     for u, _ in adjacency[v]:
                         if u != p and state[u] == UNCOLORED and not self.set_white(u):
                             return False
-                # single blacks are handled by the batched pairing rule
+                elif self.uncolored_nbrs[v] == 0:
+                    return False
+                elif self.uncolored_nbrs[v] == 1:
+                    u = next(u for u, _ in adjacency[v] if state[u] == UNCOLORED)
+                    if not self.set_black(u):
+                        return False
             else:
                 if self.black_nbrs[v] >= 2 and not self.set_white(v):
                     return False
-        self._clear_pending()
         return True
 
     def propagate(self, rng: random.Random | None = None) -> PropagationResult:
@@ -207,34 +216,15 @@ class Coloring:
 
         rng, when given, randomizes the worklist processing order; the
         result does not depend on it. Returns a non-stable result on a
-        validity break, leaving the state dirty for the caller to undo.
+        validity break or a dead single, leaving the state dirty for the
+        caller to undo.
         """
+        stable = self._close_monotone(rng)
+        self._clear_pending()
+        if not stable:
+            return PropagationResult(stable=False)
         state = self.state
         g = self.graph
-        while True:
-            if not self._close_monotone(rng):
-                self._clear_pending()
-                return PropagationResult(stable=False)
-            batch: list[int] = []
-            for v in range(g.n):
-                if (
-                    state[v] == BLACK
-                    and self.pair[v] == NO_PAIR
-                    and self.uncolored_nbrs[v] == 1
-                ):
-                    for u, _ in g.adjacency[v]:
-                        if state[u] == UNCOLORED:
-                            batch.append(u)
-                            break
-            if not batch:
-                break
-            for u in batch:
-                # two batch entries can name the same target; the second
-                # sighting is either already black (fine) or a validity
-                # break caught by set_black's counters
-                if state[u] == UNCOLORED and not self.set_black(u):
-                    self._clear_pending()
-                    return PropagationResult(stable=False)
         singles = tuple(
             v for v in range(g.n) if state[v] == BLACK and self.pair[v] == NO_PAIR
         )
@@ -248,7 +238,8 @@ class Coloring:
         On a stable coloring grown from a dominating colored set, every
         uncolored vertex has exactly one black neighbor and that neighbor
         is single; anything else raises ContractViolation (the usual cause
-        is a non-dominating root). Every single gets a part, possibly empty.
+        is a non-dominating root). Every single gets a part; on a coloring
+        from a stable propagate, each part has at least two members.
         """
         state = self.state
         parts: dict[int, list[int]] = {

@@ -61,6 +61,19 @@ def random_corpus(
         yield random_graph(rng, n, p)
 
 
+def path_dim_weight(weights: Sequence[float]) -> float | None:
+    """Minimum DIM weight of the path with these edge weights in order, or
+    None. A left-to-right DP over vertex colors: a white is followed by a
+    black that still needs its pair, that black by its pair (taking the
+    edge between them), and a paired black by a white."""
+    inf = float("inf")
+    white, open_black, paired = 0.0, 0.0, inf  # the first vertex
+    for w in weights:
+        white, open_black, paired = paired, white, open_black + w
+    best = min(white, paired)
+    return None if best == inf else best
+
+
 def is_bipartite(g: Graph) -> bool:
     side = [-1] * g.n
     for s in range(g.n):

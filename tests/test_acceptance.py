@@ -133,9 +133,9 @@ def test_stable_root_colorings_keep_their_contracts():
     DIM is flat-stable, is reached, and its singles all sit inside the
     root's black set. Verified against oracle enumeration.
 
-    The search may skip a flat-stable root: the pairing rule is not
-    monotone, so a prefix can fail to propagate even though the whole root
-    propagates stably. Such a root has no DIM, so nothing is lost."""
+    Every propagation rule is monotone, so the search in fact reaches
+    exactly the flat-stable roots (test_domset checks that). This gate asks
+    only what correctness needs: a root it skips has no DIM."""
     stable_count = 0
     extensible_count = 0
     observed_count = 0

@@ -75,27 +75,25 @@ def test_paired_black_whitens_other_neighbors():
 
 
 def test_double_black_neighborhood_whitens():
+    # 1 has two black neighbors, so it is white in every extension, and
+    # then the singles 0 and 2 have no neighbor left to pair with
     col = Coloring(P3)
     col.set_black(0)
     col.set_black(2)
     res = col.propagate()
-    assert res.stable
-    assert colors(col) == bytes([BLACK, WHITE, BLACK])
-    assert set(res.singles) == {0, 2}
-    assert col.uncolored_partition() == {0: [], 2: []}
+    assert not res.stable
+    assert res.singles == ()
 
 
 def test_single_with_one_exit_pulls_it_black():
+    # 2 would pull its one exit 3 black, but 0 turns black next to the
+    # white 1 and is a single whose every neighbor is white: refuted
     col = Coloring(P4_527)
     col.set_white(1)
     col.set_black(2)
     res = col.propagate()
-    assert res.stable
-    assert colors(col) == bytes([BLACK, WHITE, BLACK, BLACK])
-    assert col.pair[2] == 3 and col.pair[3] == 2
-    assert res.singles == (0,)
-    assert col.is_total()
-    assert col.uncolored_partition() == {0: []}
+    assert not res.stable
+    assert res.singles == ()
 
 
 def test_propagation_detects_dead_end():

@@ -12,9 +12,11 @@ import pytest
 
 import dimsolver.domset
 from dimsolver import (
+    BLACK,
     Coloring,
     ContractViolation,
     DotTracer,
+    WHITE,
     brute_solve,
     classify_part,
     find_dominating_set,
@@ -67,9 +69,14 @@ def classify(g, blacks, single):
 
 
 def test_classify_empty_part_is_dead():
-    #  P3 with both ends black: middle whitens, both singles own nothing
+    #  P3 colored B W B by hand: both singles own nothing. propagate
+    #  refutes such a coloring, so it is built without it.
     g = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    info = classify(g, [0, 2], 0)
+    col = Coloring(g)
+    assert col.set_black(0) and col.set_white(1) and col.set_black(2)
+    parts = col.uncolored_partition()
+    assert parts == {0: [], 2: []}
+    info = classify_part(col, 0, parts[0], {})
     assert info.kind == "dead" and info.members == ()
 
 
@@ -131,11 +138,13 @@ def test_c6_stats_with_forced_dominating_set():
     st = out.stats
     assert st.dominating_set_size == 2
     # 3=W forces 2 and 4 black, they pair with 1 and 5, and 0 turns white:
-    # root 1 (0=B 3=W) is never tried. Under 3=B both colors of 0 are.
+    # root 1 (0=B 3=W) is never tried. Under 3=B both colors of 0 are, and
+    # 0=W is refuted: it turns 1 and 5 black, and 1's one exit 2 also
+    # borders the black 3, so 1 can never pair and root 2 is never reached.
     assert st.search_nodes == 4
-    assert st.roots_explored == 3
-    assert st.branch_leaves_per_root == (1, 1, 2)
-    assert st.residual_singles_per_root == (0, 0, 2)
+    assert st.roots_explored == 2
+    assert st.branch_leaves_per_root == (1, 2)
+    assert st.residual_singles_per_root == (0, 2)
 
 
 def test_stats_respect_ceilings():
@@ -209,11 +218,36 @@ def test_observer_sees_each_stable_root():
     )
     assert out.dim is not None
     roots = [r for r, _, _ in seen]
-    # root 1 (0=B 3=W) is pruned: 3=W forces 0 white
-    assert roots == [0, 2, 3]
+    # root 1 (0=B 3=W) is pruned: 3=W forces 0 white; root 2 (0=W 3=B) is
+    # refuted: 0=W leaves a single with no exit
+    assert roots == [0, 3]
     for root, blacks, singles in seen:
         expect = frozenset(v for k, v in enumerate([0, 3]) if (root >> k) & 1)
         assert blacks == expect
+
+
+def test_search_reaches_exactly_the_flat_stable_roots():
+    # every rule is monotone, so coloring D one vertex at a time prunes a
+    # prefix only when the whole root fails to propagate as well
+    for g in random_corpus(512, seed=77, n_lo=2, n_hi=11):
+        d = find_dominating_set(g)
+        seen = {}
+        solve_domset(
+            g,
+            dominating_set=d,
+            observer=lambda root, blacks, singles: seen.setdefault(root, singles),
+        )
+        flat = {}
+        for root in range(1 << len(d)):
+            col = Coloring(g)
+            if all(
+                col.set_color(v, BLACK if (root >> k) & 1 else WHITE)
+                for k, v in enumerate(d)
+            ):
+                res = col.propagate()
+                if res.stable:
+                    flat[root] = res.singles
+        assert seen == flat
 
 
 C6_DOT = """\
@@ -223,21 +257,19 @@ digraph branchtree {
   n1 [label="3=W"];
   n2 [label="root 0: 0=W 3=W\\ncomplete w=2"];
   n3 [label="3=B"];
-  n4 [label="0=W"];
-  n5 [label="root 2: 0=W 3=B\\ndead s=1"];
-  n6 [label="0=B"];
-  n7 [label="root 3: 0=B 3=B"];
-  n8 [label="cross 1=black\\ncomplete w=2"];
-  n9 [label="cross 1=white\\ncomplete w=2"];
+  n4 [label="0=W\\ninvalid"];
+  n5 [label="0=B"];
+  n6 [label="root 3: 0=B 3=B"];
+  n7 [label="cross 1=black\\ncomplete w=2"];
+  n8 [label="cross 1=white\\ncomplete w=2"];
   n0 -> n1;
   n1 -> n2;
   n0 -> n3;
   n3 -> n4;
-  n4 -> n5;
-  n3 -> n6;
+  n3 -> n5;
+  n5 -> n6;
   n6 -> n7;
-  n7 -> n8;
-  n7 -> n9;
+  n6 -> n8;
 }
 """
 

@@ -1,6 +1,7 @@
 """Engine dispatch and end-to-end orchestration over raw input graphs."""
 
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,16 @@ from dimsolver import (
     solve_instance,
     validate_dim,
 )
-from support import C5_UNIT, P4_527, cycle, graph, path, random_corpus, star
+from support import (
+    C5_UNIT,
+    P4_527,
+    cycle,
+    graph,
+    path,
+    path_dim_weight,
+    random_corpus,
+    star,
+)
 
 ALL_ALGOS = ("auto", "domset", "mis", "brute")
 
@@ -150,6 +160,38 @@ def test_long_chains_solve_without_recursion(closed, default_recursion_limit):
     r = solve_instance(g, algo="auto")
     assert r.dim is not None and validate_dim(g, r.dim.edge_ids)
     assert r.dim.weight == chain_dim_weight(weights, closed)
+
+
+def _timed_auto(g):
+    t0 = time.perf_counter()
+    r = solve_instance(g, algo="auto")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"n={g.n} took {elapsed:.1f}s"
+    return r
+
+
+def test_long_path_and_cycles_within_budget(default_recursion_limit):
+    weights = [float(i % 7 + 1) for i in range(9999)]
+    g = path(weights)  # P10000
+    r = _timed_auto(g)
+    assert r.dim is not None and validate_dim(g, r.dim.edge_ids)
+    assert r.dim.weight == path_dim_weight(weights)
+
+    g = cycle(weights)  # C9999
+    r = _timed_auto(g)
+    assert r.dim is not None and validate_dim(g, r.dim.edge_ids)
+    assert r.dim.weight == chain_dim_weight(weights, closed=True)
+
+    # C10000: 10000 is not a multiple of 3, so there is no DIM
+    assert _timed_auto(cycle(weights + [1.0])).dim is None
+
+
+def test_large_forest_without_dim_within_budget(default_recursion_limit):
+    tree = [(0, 1), (1, 2), (0, 3), (1, 4), (1, 5), (5, 6)]
+    assert brute_solve(graph(7, [(u, v, 1.0) for u, v in tree])).total == 0
+    k = 1400
+    g = graph(7 * k, [(7 * c + u, 7 * c + v, 1.0) for c in range(k) for u, v in tree])
+    assert _timed_auto(g).dim is None
 
 
 def test_wide_star_and_degenerate_graphs(default_recursion_limit):
