@@ -22,6 +22,7 @@ from .domset import (
     SolveOutcome,
     SolveStats,
     classify_part,
+    classify_parts,
     find_dominating_set,
     solve_domset,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "brute_mis",
     "brute_solve",
     "classify_part",
+    "classify_parts",
     "count_dims",
     "count_instance",
     "enumerate_mis",

@@ -18,7 +18,8 @@ neighbors. Each rule's precondition stays true as more vertices are
 colored: the pairing rule reads "v is black and every neighbor but u is
 white, so u is black", the refutation "v is black and every neighbor is
 white". So the worklist reaches the same fixpoint, or the same
-refutation, in any processing order.
+refutation, in any processing order. propagate reports only whether
+that fixpoint is stable; the singles are a separate query, singles().
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class ContractViolation(RuntimeError):
 @dataclass(frozen=True)
 class PropagationResult:
     stable: bool
-    singles: tuple[int, ...] = ()
 
 
 class Coloring:
@@ -221,49 +221,16 @@ class Coloring:
         """
         stable = self._close_monotone(rng)
         self._clear_pending()
-        if not stable:
-            return PropagationResult(stable=False)
-        state = self.state
-        g = self.graph
-        singles = tuple(
-            v for v in range(g.n) if state[v] == BLACK and self.pair[v] == NO_PAIR
-        )
-        return PropagationResult(stable=True, singles=singles)
+        return PropagationResult(stable=stable)
 
     # -- queries ----------------------------------------------------------
 
-    def uncolored_partition(self) -> dict[int, list[int]]:
-        """Group the uncolored vertices by their unique single black neighbor.
-
-        On a stable coloring grown from a dominating colored set, every
-        uncolored vertex has exactly one black neighbor and that neighbor
-        is single; anything else raises ContractViolation (the usual cause
-        is a non-dominating root). Every single gets a part; on a coloring
-        from a stable propagate, each part has at least two members.
-        """
-        state = self.state
-        parts: dict[int, list[int]] = {
-            v: []
-            for v in range(self.graph.n)
-            if state[v] == BLACK and self.pair[v] == NO_PAIR
-        }
-        for u in range(self.graph.n):
-            if state[u] != UNCOLORED:
-                continue
-            if self.black_nbrs[u] != 1:
-                raise ContractViolation(
-                    f"uncolored vertex {u} has {self.black_nbrs[u]} black neighbors, "
-                    "expected exactly 1 (is the root set dominating?)"
-                )
-            owner = next(
-                b for b, _ in self.graph.adjacency[u] if state[b] == BLACK
-            )
-            if self.pair[owner] != NO_PAIR:
-                raise ContractViolation(
-                    f"uncolored vertex {u} borders the paired black vertex {owner}"
-                )
-            parts[owner].append(u)
-        return parts
+    def singles(self) -> tuple[int, ...]:
+        """The black vertices without a pair, in increasing order."""
+        state, pair = self.state, self.pair
+        return tuple(
+            v for v in range(self.graph.n) if state[v] == BLACK and pair[v] == NO_PAIR
+        )
 
     def is_total(self) -> bool:
         return UNCOLORED not in self.state

@@ -10,14 +10,17 @@ and its subtree is skipped. The search does three things:
             propagation has already colored keeps its color. Each
             complete assignment that propagates stably is a root.
   settle    the uncolored vertices left at a root split into parts, one
-            per single black vertex, and each part is settled by its
-            structure:
+            per single black vertex, and classify_parts gives each part
+            a kind by its structure:
               dead    the part cannot host the single's pair; prune
               forced  exactly one viable pair candidate; take it
               free    several candidates, no edge into another part; the
                       cheapest candidate is optimal independently of
                       everything else
               cross   an edge links two parts
+            Parts are settled a wave at a time from one classification:
+            every forced pair at once, or, when none is left, every free
+            part's cheapest candidate at once, then one propagation.
   branch    on a cross edge's endpoint, black before white, then settle
             again.
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .coloring import BLACK, UNCOLORED, WHITE, Coloring, ContractViolation
+from .coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring, ContractViolation
 from .graph import Dim, Graph, format_weight, validate_dim
 
 if TYPE_CHECKING:
@@ -164,6 +167,39 @@ def classify_part(
     return PartInfo(single, members, kind, candidates, cross)
 
 
+def classify_parts(col: Coloring) -> list[PartInfo]:
+    """Split the uncolored vertices into one part per single black vertex
+    and classify each part, in increasing order of the single.
+
+    On a stable coloring grown from a dominating colored set, every
+    uncolored vertex has exactly one black neighbor, and it is single;
+    anything else raises ContractViolation (the usual cause is a
+    non-dominating root). A single with no uncolored neighbor gets an
+    empty part, which is dead.
+    """
+    g = col.graph
+    state = col.state
+    parts: dict[int, list[int]] = {}
+    part_of: dict[int, int] = {}
+    for v in range(g.n):
+        if state[v] == BLACK and col.pair[v] == NO_PAIR:
+            parts.setdefault(v, [])
+        elif state[v] == UNCOLORED:
+            if col.black_nbrs[v] != 1:
+                raise ContractViolation(
+                    f"uncolored vertex {v} has {col.black_nbrs[v]} black neighbors, "
+                    "expected exactly 1 (is the root set dominating?)"
+                )
+            owner = next(b for b, _ in g.adjacency[v] if state[b] == BLACK)
+            if col.pair[owner] != NO_PAIR:
+                raise ContractViolation(
+                    f"uncolored vertex {v} borders the paired black vertex {owner}"
+                )
+            parts.setdefault(owner, []).append(v)
+            part_of[v] = owner
+    return [classify_part(col, s, parts[s], part_of) for s in sorted(parts)]
+
+
 def solve_domset(
     g: Graph,
     dominating_set: Sequence[int] | None = None,
@@ -211,7 +247,6 @@ def _search(
     bound = min(len(d_sorted), (g.n + 2) // 3)
     root = 0
     q: int | None = None
-    singles: tuple[int, ...] = ()
 
     # Entries are (index in D of the vertex to color, or -1 below a root;
     # that vertex; its color, or None for the start; trail mark to undo to
@@ -225,10 +260,7 @@ def _search(
         col.undo_to(mark)
         note = None
         if color is not None:
-            ok = col.set_color(v, color)
-            if ok:
-                result = col.propagate()
-                ok = result.stable
+            ok = col.set_color(v, color) and col.propagate().stable
             if k >= 0:
                 nodes += 1
             if tracer:
@@ -240,8 +272,6 @@ def _search(
                 node = tracer.add(node, label)
             if not ok:
                 note = "invalid"
-            elif k >= 0:
-                singles = result.singles
 
         if note is None and k >= 0:
             k -= 1
@@ -258,10 +288,10 @@ def _search(
                 bits = " ".join(
                     f"{u}={'B' if state[u] == BLACK else 'W'}" for u in d_sorted
                 )
-                node = tracer.add(node, f"root {root}: {bits or 'empty'}")
+                node = tracer.add(node, f"root {root:#x}: {bits or 'empty'}")
             if observer is not None:
                 root_blacks = frozenset(u for u in d_sorted if state[u] == BLACK)
-                observer(root, root_blacks, singles)
+                observer(root, root_blacks, col.singles())
             leaves_per_root.append(0)
             singles_per_root.append(0)
             q = None
@@ -271,57 +301,54 @@ def _search(
                     f"{1 << len(d_sorted)}"
                 )
 
-        # settle dead, forced and free parts in place until this branch
-        # reaches a leaf or a cross vertex to branch on
+        # settle this branch a wave at a time until it reaches a leaf, a
+        # dead part or a cross vertex to branch on
         while note is None:
-            parts = col.uncolored_partition()
-            if not parts:
+            infos = classify_parts(col)
+            if not infos:
                 dim = col.to_dim()
                 # strict: ties keep the earliest leaf in search order
                 if best is None or dim.weight < best.weight:
                     best = dim
                 note = f"complete w={format_weight(dim.weight)}"
                 break
-            owners = sorted(parts)
-            part_of = {u: s for s, us in parts.items() for u in us}
-            infos = [classify_part(col, s, parts[s], part_of) for s in owners]
-
             dead = next((i for i in infos if i.kind == "dead"), None)
             if dead is not None:
                 note = f"dead s={dead.single}"
                 break
-            info = next((i for i in infos if i.kind == "forced"), None)
-            if info is not None:
-                v = info.candidates[0]
-            else:
+            wave = [i for i in infos if i.kind == "forced"]
+            if not wave:
                 if q is None:
                     # dead/forced exhausted for the first time in this root
-                    q = singles_per_root[-1] = len(owners)
+                    q = singles_per_root[-1] = len(infos)
                     if q > bound:
                         raise ContractViolation(
-                            f"root {root}: singles after reduce={q} > "
+                            f"root {root:#x}: singles after reduce={q} > "
                             f"min(|D|, ceil(n/3))={bound}"
                         )
-                info = next((i for i in infos if i.kind == "free"), None)
-                if info is None:
-                    # v black pairs its own single; v white forces the far
-                    # endpoint black, pairing the other part's single
-                    cross = next(i for i in infos if i.kind == "cross").cross
-                    assert cross is not None
-                    mark = col.mark()
-                    stack.append((-1, cross[0], WHITE, mark, node))
-                    stack.append((-1, cross[0], BLACK, mark, node))
-                    break
+                wave = [i for i in infos if i.kind == "free"]
+            if not wave:
+                # v black pairs its own single; v white forces the far
+                # endpoint black, pairing the other part's single
+                cross = next(i for i in infos if i.kind == "cross").cross
+                assert cross is not None
+                mark = col.mark()
+                stack.append((-1, cross[0], WHITE, mark, node))
+                stack.append((-1, cross[0], BLACK, mark, node))
+                break
+            # a wave is applied whole and propagated once: every forced
+            # pair holds in each DIM below, and a free part shares no edge
+            # with any other part, so a break means there is no DIM below
+            ok = True
+            for info in wave:
                 s = info.single
-                v = min(
-                    info.candidates, key=lambda c: (g.edges[g.edge_id(s, c)][2], c)
-                )
-            ok = col.set_black(v) and col.propagate().stable
-            if tracer:
-                node = tracer.add(node, f"{info.kind} {v} pairs {info.single}")
-            if not ok:
-                # no DIM below: a forced pair had no alternative, and a
-                # free choice cannot clash with anything outside its part
+                v = min(info.candidates, key=lambda c: (g.edges[g.edge_id(s, c)][2], c))
+                ok = col.set_black(v)
+                if tracer:
+                    node = tracer.add(node, f"{info.kind} {v} pairs {s}")
+                if not ok:
+                    break
+            if not (ok and col.propagate().stable):
                 note = "invalid"
 
         if note is None:
@@ -333,7 +360,7 @@ def _search(
         leaves_per_root[-1] += 1
         if leaves_per_root[-1] > 1 << (q or 0):
             raise ContractViolation(
-                f"root {root}: leaves={leaves_per_root[-1]} > 2^q, "
+                f"root {root:#x}: leaves={leaves_per_root[-1]} > 2^q, "
                 f"singles after reduce q={q or 0}"
             )
 

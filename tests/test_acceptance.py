@@ -171,7 +171,7 @@ def test_stable_root_colorings_keep_their_contracts():
             if res is not None and res.stable:
                 stable_count += 1
                 if root in observed:
-                    assert observed[root][1] == res.singles
+                    assert observed[root][1] == col.singles()
                 for v in range(g.n):
                     if col.state[v] == UNCOLORED:
                         black_nbrs = [

@@ -7,8 +7,10 @@ import dimsolver.cli
 from dimsolver import (
     ContractViolation,
     gen_instance,
+    parse_graph,
     run_bench,
     serialize_graph,
+    solve_instance,
 )
 
 
@@ -60,6 +62,16 @@ def test_nodim_instances_render_in_report(tmp_path):
     report = run_bench(tmp_path)
     assert report.rows[0].weight is None
     assert "NODIM" in report.to_tsv()
+
+
+def test_weight_column_includes_forced_isolated_edges(tmp_path):
+    # 1-2 is an isolated edge, so it is in every DIM; the path 3-4-5 adds 1
+    text = "p dim 5 3\ne 1 2 5\ne 3 4 1\ne 4 5 2\n"
+    (tmp_path / "forced.dim").write_text(text)
+    report = run_bench(tmp_path)
+    assert report.violations == ()
+    assert report.rows[0].weight == solve_instance(parse_graph(text)).dim.weight == 6.0
+    assert report.to_tsv().splitlines()[1].split("\t")[7] == "6"
 
 
 def test_malformed_file_stops_the_run_and_is_named(tmp_path, capsys):

@@ -15,6 +15,7 @@ from dimsolver import (
     UNCOLORED,
     WHITE,
     brute_solve,
+    classify_parts,
     validate_dim,
 )
 from support import C6_UNIT, P4_527, STAR_419, path, random_corpus
@@ -62,7 +63,7 @@ def test_white_forces_neighbors_black():
     assert res.stable
     assert colors(col) == bytes([WHITE, BLACK, BLACK])
     assert col.pair[1] == 2
-    assert res.singles == () and col.is_total()
+    assert col.singles() == () and col.is_total()
 
 
 def test_paired_black_whitens_other_neighbors():
@@ -82,7 +83,6 @@ def test_double_black_neighborhood_whitens():
     col.set_black(2)
     res = col.propagate()
     assert not res.stable
-    assert res.singles == ()
 
 
 def test_single_with_one_exit_pulls_it_black():
@@ -93,7 +93,6 @@ def test_single_with_one_exit_pulls_it_black():
     col.set_black(2)
     res = col.propagate()
     assert not res.stable
-    assert res.singles == ()
 
 
 def test_propagation_detects_dead_end():
@@ -110,9 +109,9 @@ def test_star_center_black_stalls_with_leaves_uncolored():
     col.set_black(0)
     res = col.propagate()
     assert res.stable
-    assert res.singles == (0,)
+    assert col.singles() == (0,)
     assert {v for v in range(4) if col.state[v] == UNCOLORED} == {1, 2, 3}
-    assert col.uncolored_partition() == {0: [1, 2, 3]}
+    assert [(i.single, i.members) for i in classify_parts(col)] == [(0, (1, 2, 3))]
 
 
 def test_empty_singles_means_total():
@@ -136,7 +135,7 @@ def test_empty_singles_means_total():
         if len(covered) < g.n:
             continue
         res = col.propagate()
-        if res.stable and not res.singles:
+        if res.stable and not col.singles():
             hits += 1
             assert col.is_total()
     assert hits > 20  # the corpus must actually exercise the property
@@ -193,16 +192,20 @@ def test_extension_soundness():
                     assert col.state[v] == full[v]
 
 
-def test_uncolored_partition_requires_stability():
-    # a black vertex with two uncolored neighbors and a second black
-    # neighbor elsewhere is fine, but an uncolored vertex with two black
-    # neighbors breaks the partition contract
+def test_classify_parts_requires_stability():
+    # without propagation an uncolored vertex can see two black neighbors,
+    # or border a paired black; either breaks the partition contract
     g = path([1.0, 1.0])  # 0-1-2
     col = Coloring(g)
     col.set_black(0)
     col.set_black(2)
-    with pytest.raises(ContractViolation):
-        col.uncolored_partition()  # 1 has two black neighbors, not propagated
+    with pytest.raises(ContractViolation, match="vertex 1 has 2 black neighbors"):
+        classify_parts(col)
+    col = Coloring(g)
+    col.set_black(0)
+    col.set_black(1)
+    with pytest.raises(ContractViolation, match="borders the paired black vertex 1"):
+        classify_parts(col)
 
 
 def test_propagate_rng_orders_agree():

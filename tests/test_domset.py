@@ -18,7 +18,7 @@ from dimsolver import (
     DotTracer,
     WHITE,
     brute_solve,
-    classify_part,
+    classify_parts,
     find_dominating_set,
     preprocess,
     solve_domset,
@@ -33,6 +33,8 @@ from support import (
     STAR_419,
     complete,
     graph,
+    path,
+    path_dim_weight,
     random_corpus,
     star,
 )
@@ -63,9 +65,7 @@ def classify(g, blacks, single):
         assert col.set_black(v)
     res = col.propagate()
     assert res.stable
-    parts = col.uncolored_partition()
-    part_of = {v: s for s, vs in parts.items() for v in vs}
-    return classify_part(col, single, parts[single], part_of)
+    return next(i for i in classify_parts(col) if i.single == single)
 
 
 def test_classify_empty_part_is_dead():
@@ -74,10 +74,11 @@ def test_classify_empty_part_is_dead():
     g = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     col = Coloring(g)
     assert col.set_black(0) and col.set_white(1) and col.set_black(2)
-    parts = col.uncolored_partition()
-    assert parts == {0: [], 2: []}
-    info = classify_part(col, 0, parts[0], {})
-    assert info.kind == "dead" and info.members == ()
+    infos = classify_parts(col)
+    assert [(i.single, i.kind, i.members) for i in infos] == [
+        (0, "dead", ()),
+        (2, "dead", ()),
+    ]
 
 
 def test_classify_star_part_forces_center():
@@ -246,7 +247,7 @@ def test_search_reaches_exactly_the_flat_stable_roots():
             ):
                 res = col.propagate()
                 if res.stable:
-                    flat[root] = res.singles
+                    flat[root] = col.singles()
         assert seen == flat
 
 
@@ -255,11 +256,11 @@ digraph branchtree {
   node [shape=box];
   n0 [label="search over dominating set [0, 3]"];
   n1 [label="3=W"];
-  n2 [label="root 0: 0=W 3=W\\ncomplete w=2"];
+  n2 [label="root 0x0: 0=W 3=W\\ncomplete w=2"];
   n3 [label="3=B"];
   n4 [label="0=W\\ninvalid"];
   n5 [label="0=B"];
-  n6 [label="root 3: 0=B 3=B"];
+  n6 [label="root 0x3: 0=B 3=B"];
   n7 [label="cross 1=black\\ncomplete w=2"];
   n8 [label="cross 1=white\\ncomplete w=2"];
   n0 -> n1;
@@ -280,7 +281,7 @@ def test_tracer_records_branches():
     assert out.dim is not None
     dot = tracer.to_dot()
     assert dot.startswith("digraph")
-    assert "root 3" in dot
+    assert "root 0x3" in dot
     assert dot.count("->") >= 4
     # the whole branch tree: D assignments, roots, settled parts, cross
     # branches and leaf notes, in search order
@@ -291,6 +292,16 @@ def test_tracer_records_branches():
     big = graph(4, [(0, 1, 5.0), (1, 2, 1234567.0), (2, 3, 7.0)])
     assert solve_domset(big, tracer=tracer).dim.weight == 1234567.0
     assert 'complete w=1234567"' in tracer.to_dot()
+
+
+def test_tracer_labels_roots_too_long_for_decimal():
+    # D of P30000 has 15000 vertices, so the root index has 15000 bits,
+    # past the interpreter's 4300-digit cap on int to decimal conversion
+    weights = [float(i % 7 + 1) for i in range(29999)]
+    tracer = DotTracer()
+    out = solve_domset(path(weights), tracer=tracer)
+    assert out.dim.weight == path_dim_weight(weights)
+    assert "root 0x" in tracer.to_dot()
 
 
 def test_complete_graphs():

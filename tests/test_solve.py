@@ -186,6 +186,23 @@ def test_long_path_and_cycles_within_budget(default_recursion_limit):
     assert _timed_auto(cycle(weights + [1.0])).dim is None
 
 
+def test_disjoint_forced_center_gadgets_within_budget():
+    # in each copy 0=W fails, and under 0=B the part {1, 2, 3} of the
+    # single 0 is a star centered at 1: one root, 2000 forced parts, and
+    # the only DIM takes every copy's 0-1 edge
+    gadget = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    k = 2000
+    edges = [
+        (4 * c + u, 4 * c + v, float((c + 3 * i) % 9 + 1))
+        for c in range(k)
+        for i, (u, v) in enumerate(gadget)
+    ]
+    g = graph(4 * k, edges)
+    r = _timed_auto(g)
+    assert r.dim is not None and validate_dim(g, r.dim.edge_ids)
+    assert r.dim.weight == sum(float(c % 9 + 1) for c in range(k))
+
+
 def test_large_forest_without_dim_within_budget(default_recursion_limit):
     tree = [(0, 1), (1, 2), (0, 3), (1, 4), (1, 5), (5, 6)]
     assert brute_solve(graph(7, [(u, v, 1.0) for u, v in tree])).total == 0
