@@ -2,7 +2,7 @@
 
 The file format is DIMACS-like, one record per line:
 
-    c <comment>            optional, anywhere
+    c <comment>            optional, anywhere; c is the first token
     p dim <n> <m>          exactly once, before any edge
     e <u> <v> <w>          m times; 1-based endpoints, non-negative weight
 
@@ -26,6 +26,20 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
+def _finite_total(edges) -> bool:
+    # every DIM weight is a partial sum of the edge weights
+    return math.isfinite(sum(w for _, _, w in edges))
+
+
+def _index(n: int, edges) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """adjacency[v]: the (neighbor, edge id) pairs of v in edge order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v, _) in enumerate(edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    return tuple(map(tuple, adj))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with non-negative edge weights.
@@ -45,9 +59,8 @@ class Graph:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         norm = []
-        seen: dict[tuple[int, int], int] = {}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v, w) in enumerate(self.edges):
+        seen: set[tuple[int, int]] = set()
+        for u, v, w in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {u}-{v}: vertex id out of range")
             if u == v:
@@ -59,15 +72,28 @@ class Graph:
                 u, v = v, u
             if (u, v) in seen:
                 raise ValueError(f"edge {u}-{v}: duplicate")
-            seen[(u, v)] = eid
+            seen.add((u, v))
             norm.append((u, v, w))
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        # every DIM weight is a partial sum of the edge weights
-        if not math.isfinite(sum(w for _, _, w in norm)):
+        if not _finite_total(norm):
             raise ValueError("total edge weight is not finite")
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "adjacency", _index(self.n, norm))
+
+    @classmethod
+    def _checked(
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int, float], ...],
+        adjacency: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> Graph:
+        """A graph from edges that already passed the checks of __post_init__,
+        normalized to u < v with float weights, and their adjacency in edge
+        order. Nothing is checked or indexed again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "adjacency", adjacency)
+        return g
 
     @property
     def m(self) -> int:
@@ -113,17 +139,22 @@ def _parse_weight(token: str, lineno: int) -> float:
 
 
 def parse_graph(text: str | bytes) -> Graph:
-    """Parse instance text, raising GraphFormatError with a line number."""
+    """Parse instance text, raising GraphFormatError with a line number.
+
+    Each edge is checked as its line is read, with the same checks as
+    Graph(n, edges), and indexed once the whole text has passed; the graph
+    is not checked again.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = m = None
     edges: list[tuple[int, int, float]] = []
-    seen: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
+    # 0-based endpoints a < b, keyed a * n + b, map to their first line
+    seen: dict[int, int] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
         if kind == "p":
             if n is not None:
@@ -152,9 +183,13 @@ def parse_graph(text: str | bytes) -> Graph:
             w = _parse_weight(parts[3], lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(f"vertex id out of range in edge {u} {v}", lineno)
-            if u == v:
+            if u < v:
+                a, b = u - 1, v - 1
+            elif u > v:
+                a, b = v - 1, u - 1
+            else:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v), max(u, v))
+            key = a * n + b
             if key in seen:
                 raise GraphFormatError(
                     f"duplicate edge {u} {v} (first seen at line {seen[key]})", lineno
@@ -162,8 +197,8 @@ def parse_graph(text: str | bytes) -> Graph:
             seen[key] = lineno
             if len(edges) == m:
                 raise GraphFormatError(f"more than the declared {m} edges", lineno)
-            edges.append((u - 1, v - 1, w))
-        else:
+            edges.append((a, b, w))
+        elif kind != "c":
             raise GraphFormatError(f"unknown record type {kind!r}", lineno)
     if n is None:
         raise GraphFormatError("missing 'p dim <n> <m>' header")
@@ -171,7 +206,10 @@ def parse_graph(text: str | bytes) -> Graph:
         raise GraphFormatError(
             f"edge count mismatch: header declares {m}, found {len(edges)}"
         )
-    return Graph(n, tuple(edges))
+    if not _finite_total(edges):
+        # the same error Graph(n, edges) raises, not tied to a line
+        raise ValueError("total edge weight is not finite")
+    return Graph._checked(n, tuple(edges), _index(n, edges))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -215,54 +253,45 @@ def preprocess(g: Graph) -> PreprocessResult:
     """Strip isolated vertices and isolated-edge components.
 
     Any DIM of the original graph is the union of the forced edges and a
-    DIM of the residual, and vice versa; preprocess is idempotent.
+    DIM of the residual, and vice versa; preprocess is idempotent. When
+    nothing is stripped the residual is g itself, with identity maps.
     """
-    comp = [-1] * g.n
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if comp[start] != -1:
-            continue
-        cid = len(comps)
-        comp[start] = cid
-        stack, members = [start], [start]
-        while stack:
-            v = stack.pop()
-            for u, _ in g.adjacency[v]:
-                if comp[u] == -1:
-                    comp[u] = cid
-                    stack.append(u)
-                    members.append(u)
-        comps.append(sorted(members))
+    adj = g.adjacency
+    # a vertex is in a component of three or more vertices exactly when it
+    # or its one neighbor has degree >= 2
+    kept = [
+        v
+        for v, nbrs in enumerate(adj)
+        if len(nbrs) > 1 or (nbrs and len(adj[nbrs[0][0]]) > 1)
+    ]
+    if len(kept) == g.n:
+        ident = tuple(range(g.n))
+        return PreprocessResult(g, (), (), ident, ident, tuple(range(g.m)))
 
-    removed: list[int] = []
-    forced: list[tuple[int, float]] = []
-    kept: list[int] = []
-    for members in comps:
-        if len(members) == 1:
-            removed.append(members[0])
-        elif len(members) == 2:
-            # a 2-vertex component is exactly one edge
-            eid = g.edge_id(members[0], members[1])
-            assert eid is not None
-            forced.append((eid, g.edges[eid][2]))
-        else:
-            kept.extend(members)
-
-    kept.sort()
     fwd = [-1] * g.n
     for new, old in enumerate(kept):
         fwd[old] = new
     res_edges: list[tuple[int, int, float]] = []
     edge_map: list[int] = []
+    forced: list[tuple[int, float]] = []
+    res_eid = [-1] * g.m
     for eid, (u, v, w) in enumerate(g.edges):
-        if fwd[u] != -1 and fwd[v] != -1:
+        if fwd[u] == -1:
+            # u and v have degree 1: an isolated-edge component
+            forced.append((eid, w))
+        else:
+            res_eid[eid] = len(res_edges)
             res_edges.append((fwd[u], fwd[v], w))
             edge_map.append(eid)
-    residual = Graph(len(kept), tuple(res_edges))
+    # every neighbor of a kept vertex is kept, and edge ids keep their
+    # order, so each remapped list is still in residual edge order
+    res_adj = tuple(
+        tuple((fwd[u], res_eid[eid]) for u, eid in adj[old]) for old in kept
+    )
     return PreprocessResult(
-        residual=residual,
-        forced_edges=tuple(sorted(forced)),
-        removed_isolated_vertices=tuple(sorted(removed)),
+        residual=Graph._checked(len(kept), tuple(res_edges), res_adj),
+        forced_edges=tuple(forced),
+        removed_isolated_vertices=tuple(v for v in range(g.n) if not adj[v]),
         vertex_to_original=tuple(kept),
         original_to_residual=tuple(fwd),
         edge_to_original=tuple(edge_map),

@@ -45,15 +45,18 @@ class OracleResult:
         """First minimum-weight DIM in enumeration order."""
         if self.min_weight is None:
             return None
-        weights = tuple(w for _, _, w in g.edges)
         for d in self.dims:
-            if _weight_of(weights, d) == self.min_weight:
+            if _weight_of(g.edges, d) == self.min_weight:
                 return Dim(d, self.min_weight)
         raise AssertionError("min_weight without a witness")
 
 
-def _weight_of(weights: tuple[float, ...], edge_ids: frozenset[int]) -> float:
-    return float(sum(weights[e] for e in edge_ids))
+def _weight_of(
+    edges: tuple[tuple[int, int, float], ...], edge_ids: frozenset[int]
+) -> float:
+    # summed by lower endpoint, the order the solvers sum in, so that equal
+    # DIMs get bit-equal weights
+    return sum((w for _, _, w in sorted(edges[e] for e in edge_ids)), 0.0)
 
 
 def brute_solve(g: Graph) -> OracleResult:
@@ -89,11 +92,10 @@ def brute_solve(g: Graph) -> OracleResult:
                     ids.add(eid_of[(v, u)])
         dims.append(frozenset(ids))
 
-    weights = tuple(w for _, _, w in g.edges)
     min_weight = None
     min_count = 0
     for d in dims:
-        w = _weight_of(weights, d)
+        w = _weight_of(g.edges, d)
         if min_weight is None or w < min_weight:
             min_weight, min_count = w, 1
         elif w == min_weight:

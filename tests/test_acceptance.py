@@ -34,6 +34,7 @@ from support import (
     K3_123,
     P4_527,
     STAR_419,
+    graph,
     random_corpus,
     star,
 )
@@ -77,6 +78,23 @@ def test_solvers_match_oracle_everywhere():
         f"{checked} instances, existence + minimum weight + counts all exact",
     )
 
+
+
+def test_solvers_match_oracle_on_decimal_gadget_unions():
+    """On 600 unions of 1-4 copies of K4 minus an edge with weights k/10,
+    brute force and both solve paths report bit-equal minimum weights."""
+    gadget = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    rng = random.Random(20261018)
+    for i in range(600):
+        k = 1 + i % 4
+        g = graph(
+            4 * k,
+            [(4 * c + u, 4 * c + v, rng.randint(1, 99) / 10) for c in range(k) for u, v in gadget],
+        )
+        want = brute_solve(g).min_weight
+        for algo in ("auto", "mis"):
+            assert solve_instance(g, algo=algo).dim.weight == want, (i, algo)
+    _report("decimal oracle equivalence", "600 gadget unions, weights bit-equal")
 
 def test_golden_instances():
     """Hand-checked instances pin both solvers and the counter."""

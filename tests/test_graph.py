@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import dimsolver.cli as cli
 from dimsolver import (
     Dim,
     Graph,
@@ -79,27 +80,102 @@ def test_parse_error_reports_offending_line():
     assert info.value.line == 3
 
 
+# one case per message parse_graph can raise: (text, type, message, line)
+PARSE_ERRORS = [
+    ("p dim 2 0\np dim 2 0\n", GraphFormatError, "line 2: duplicate 'p dim' header", 2),
+    ("p dim 2\n", GraphFormatError, "line 1: malformed header, expected 'p dim <n> <m>'", 1),
+    ("p dim 2 -1\n", GraphFormatError, "line 1: header counts must be non-negative", 1),
+    (
+        "c x\ne 1 2 3\np dim 2 1\n",
+        GraphFormatError,
+        "line 2: edge record before 'p dim' header",
+        2,
+    ),
+    (
+        "p dim 2 1\ne 1 b 3\n",
+        GraphFormatError,
+        "line 2: malformed edge, expected 'e <u> <v> <w>'",
+        2,
+    ),
+    ("p dim 2 1\ne 1 2 inf\n", GraphFormatError, "line 2: invalid weight 'inf'", 2),
+    ("p dim 2 1\ne 1 2 -0.5\n", GraphFormatError, "line 2: negative weight '-0.5'", 2),
+    ("p dim 2 1\ne 3 1 4\n", GraphFormatError, "line 2: vertex id out of range in edge 3 1", 2),
+    ("p dim 2 1\ne 2 2 4\n", GraphFormatError, "line 2: self-loop at vertex 2", 2),
+    (
+        "p dim 3 3\ne 2 3 1\n\ne 3 2 1\n",
+        GraphFormatError,
+        "line 4: duplicate edge 3 2 (first seen at line 2)",
+        4,
+    ),
+    (
+        "p dim 3 1\ne 1 2 4\ne 2 3 4\n",
+        GraphFormatError,
+        "line 3: more than the declared 1 edges",
+        3,
+    ),
+    ("p dim 2 1\ncx 1\n", GraphFormatError, "line 2: unknown record type 'cx'", 2),
+    ("c only\n", GraphFormatError, "missing 'p dim <n> <m>' header", None),
+    (
+        "p dim 2 2\ne 1 2 4\n",
+        GraphFormatError,
+        "edge count mismatch: header declares 2, found 1",
+        None,
+    ),
+    # each weight is finite, their total is not; no single line is at fault
+    (
+        "p dim 3 2\ne 1 2 1e308\ne 2 3 1e308\n",
+        ValueError,
+        "total edge weight is not finite",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("text,kind,message,line", PARSE_ERRORS)
+def test_parse_error_corpus(text, kind, message, line, tmp_path, capsys):
+    with pytest.raises(ValueError) as info:
+        parse_graph(text)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+    assert getattr(info.value, "line", None) == line
+    path = tmp_path / "bad.dim"
+    path.write_text(text)
+    assert cli.main(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_comment_is_any_line_whose_first_token_is_c():
+    text = "c\tnote\np dim 2 1\n  c\n\tc  x y\ne 1 2 5\nc\n"
+    assert parse_graph(text) == graph(2, [(0, 1, 5.0)])
+
+
 @given(
     st.integers(min_value=0, max_value=8).flatmap(
-        lambda n: st.builds(
-            lambda pairs, ws: graph(
-                n, [(u, v, w) for (u, v), w in zip(pairs, ws)]
-            ),
+        lambda n: st.tuples(
+            st.just(n),
             st.lists(
                 st.tuples(
-                    st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))
+                    st.integers(0, max(n - 1, 0)),
+                    st.integers(0, max(n - 1, 0)),
+                    st.integers(0, 500).map(lambda k: k / 10),
                 ).filter(lambda t: t[0] != t[1]),
-                unique_by=lambda t: tuple(sorted(t)),
+                unique_by=lambda t: tuple(sorted(t[:2])),
                 max_size=n * (n - 1) // 2 if n else 0,
             ),
-            st.lists(st.integers(0, 50).map(float), min_size=36, max_size=36),
         )
-        if n
-        else st.just(Graph(0, ()))
     )
 )
-def test_serialize_parse_is_identity(g):
-    assert parse_graph(serialize_graph(g)) == g
+def test_serialize_parse_is_identity(instance):
+    # the edges keep their file order and either endpoint order, so parsing
+    # must normalize and index them exactly as the constructor does
+    n, edges = instance
+    g = Graph(n, tuple(edges))
+    text = f"p dim {n} {len(edges)}\n" + "".join(
+        f"e {u + 1} {v + 1} {w!r}\n" for u, v, w in edges
+    )
+    for parsed in (parse_graph(text), parse_graph(serialize_graph(g))):
+        assert parsed == g
+        assert (parsed.n, parsed.edges, parsed.adjacency) == (g.n, g.edges, g.adjacency)
 
 
 def test_preprocess_splits_trivial_components():
@@ -126,6 +202,32 @@ def test_preprocess_idempotent():
         assert again.residual == pre.residual
         assert again.forced_edges == () and again.removed_isolated_vertices == ()
 
+
+def test_preprocess_returns_the_input_when_nothing_is_stripped():
+    for g in (P4_527, C4_UNIT, Graph(0, ())):
+        pre = preprocess(g)
+        assert pre.residual is g
+        assert pre.forced_edges == () and pre.removed_isolated_vertices == ()
+        assert pre.vertex_to_original == pre.original_to_residual == tuple(range(g.n))
+        assert pre.edge_to_original == tuple(range(g.m))
+
+
+def test_preprocess_residual_matches_the_public_constructor():
+    stripped = 0
+    for g in random_corpus(120, seed=31):
+        pre = preprocess(g)
+        kept = pre.vertex_to_original
+        fwd = {old: new for new, old in enumerate(kept)}
+        want = Graph(
+            len(kept),
+            tuple((fwd[u], fwd[v], w) for u, v, w in g.edges if u in fwd and v in fwd),
+        )
+        res = pre.residual
+        assert (res.n, res.edges, res.adjacency) == (want.n, want.edges, want.adjacency)
+        mapped = [g.edges[e] for e in pre.edge_to_original]
+        assert [(fwd[u], fwd[v], w) for u, v, w in mapped] == list(res.edges)
+        stripped += res is not g
+    assert 0 < stripped < 120
 
 def test_validate_dim_golden():
     assert validate_dim(P4_527, {1})
