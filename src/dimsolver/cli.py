@@ -20,7 +20,7 @@ from typing import Optional
 from .bench import run_bench
 from .coloring import ContractViolation
 from .generate import FAMILIES, gen_instance
-from .graph import GraphFormatError, format_weight, parse_graph, serialize_graph
+from .graph import format_weight, parse_graph, serialize_graph
 from .solve import ALGORITHMS, count_instance, solve_instance
 from .trace import DotTracer
 
@@ -148,10 +148,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:

@@ -13,13 +13,16 @@ and one refutation drive propagation:
   * a single black vertex with no uncolored neighbor refutes the coloring:
     it can never be paired
 
-All five run off one worklist; coloring a vertex enqueues it and its
-neighbors. Each rule's precondition stays true as more vertices are
-colored: the pairing rule reads "v is black and every neighbor but u is
-white, so u is black", the refutation "v is black and every neighbor is
-white". So the worklist reaches the same fixpoint, or the same
-refutation, in any processing order. propagate reports only whether
-that fixpoint is stable; the singles are a separate query, singles().
+All five run off the undo trail, which doubles as the worklist:
+propagate walks the trail from the first entry it has not visited and,
+for each colored vertex, fires only the rules that coloring can have
+enabled, on the vertex, its pair and its neighbors. Each rule's
+precondition stays true as more vertices are colored: the pairing rule
+reads "v is black and every neighbor but u is white, so u is black", the
+refutation "v is black and every neighbor is white". So the rules reach
+the same fixpoint, or the same refutation, in any visiting order.
+propagate reports only whether that fixpoint is stable; the singles are
+a separate query, singles().
 """
 
 from __future__ import annotations
@@ -64,9 +67,7 @@ class Coloring:
         "black_nbrs",
         "uncolored_nbrs",
         "_trail",
-        "_pending",
-        "_queued",
-        "_head",
+        "_done",
     )
 
     def __init__(self, g: Graph):
@@ -78,9 +79,7 @@ class Coloring:
         self.black_nbrs = [0] * n
         self.uncolored_nbrs = [g.degree(v) for v in range(n)]
         self._trail: list[int] = []
-        self._pending: list[int] = []
-        self._queued = bytearray(n)
-        self._head = 0
+        self._done = 0  # trail entries propagate has visited
 
     # -- undo -------------------------------------------------------------
 
@@ -88,7 +87,7 @@ class Coloring:
         return len(self._trail)
 
     def undo_to(self, mark: int) -> None:
-        """Revert to a previous mark; also drops any pending rule work."""
+        """Revert to a previous mark, taken where the trail was propagated."""
         trail = self._trail
         state = self.state
         while len(trail) > mark:
@@ -105,7 +104,7 @@ class Coloring:
                 self.uncolored_nbrs[u] += 1
                 if was_black:
                     self.black_nbrs[u] -= 1
-        self._clear_pending()
+        self._done = min(self._done, mark)
 
     # -- assignment -------------------------------------------------------
 
@@ -113,11 +112,9 @@ class Coloring:
         assert self.state[v] == UNCOLORED, f"vertex {v} is already colored"
         self.state[v] = WHITE
         self._trail.append(v)
-        self._enqueue(v)
         ok = True
         for u, _ in self.graph.adjacency[v]:
             self.uncolored_nbrs[u] -= 1
-            self._enqueue(u)
             if self.state[u] == WHITE:
                 ok = False
         return ok
@@ -127,14 +124,12 @@ class Coloring:
         state = self.state
         state[v] = BLACK
         self._trail.append(v)
-        self._enqueue(v)
         ok = self.black_nbrs[v] <= 1
         mate = NO_PAIR
         mate_eid = NO_PAIR
         for u, eid in self.graph.adjacency[v]:
             self.uncolored_nbrs[u] -= 1
             self.black_nbrs[u] += 1
-            self._enqueue(u)
             if state[u] == BLACK:
                 if self.black_nbrs[u] > 1:
                     ok = False
@@ -156,72 +151,62 @@ class Coloring:
 
     # -- propagation ------------------------------------------------------
 
-    def _enqueue(self, v: int) -> None:
-        # one queue slot per vertex; dispatch reads fresh state anyway
-        if not self._queued[v]:
-            self._queued[v] = 1
-            self._pending.append(v)
-
-    def _clear_pending(self) -> None:
-        for v in self._pending[self._head :]:
-            self._queued[v] = 0
-        self._pending.clear()
-        self._head = 0
-
-    def _pop_pending(self, rng: random.Random | None) -> int:
-        pend = self._pending
-        head = self._head
-        if rng is not None and len(pend) - head > 1:
-            i = rng.randrange(head, len(pend))
-            pend[i], pend[head] = pend[head], pend[i]
-        v = pend[head]
-        self._queued[v] = 0
-        self._head = head + 1
-        if self._head > 1024 and self._head * 2 > len(pend):
-            del pend[: self._head]
-            self._head = 0
-        return v
-
-    def _close_monotone(self, rng: random.Random | None) -> bool:
-        """Run every rule to its fixpoint; False on a validity break or a
-        dead single."""
-        state = self.state
-        adjacency = self.graph.adjacency
-        while self._head < len(self._pending):
-            v = self._pop_pending(rng)
-            c = state[v]
-            if c == WHITE:
-                for u, _ in adjacency[v]:
-                    if state[u] == UNCOLORED and not self.set_black(u):
-                        return False
-            elif c == BLACK:
-                p = self.pair[v]
-                if p != NO_PAIR:
-                    for u, _ in adjacency[v]:
-                        if u != p and state[u] == UNCOLORED and not self.set_white(u):
-                            return False
-                elif self.uncolored_nbrs[v] == 0:
-                    return False
-                elif self.uncolored_nbrs[v] == 1:
-                    u = next(u for u, _ in adjacency[v] if state[u] == UNCOLORED)
-                    if not self.set_black(u):
-                        return False
-            else:
-                if self.black_nbrs[v] >= 2 and not self.set_white(v):
-                    return False
-        return True
-
     def propagate(self, rng: random.Random | None = None) -> PropagationResult:
-        """Run all rules to a fixpoint.
+        """Run all rules to a fixpoint over the colorings made since the
+        last propagate.
 
-        rng, when given, randomizes the worklist processing order; the
-        result does not depend on it. Returns a non-stable result on a
-        validity break or a dead single, leaving the state dirty for the
-        caller to undo.
+        rng, when given, permutes the not yet propagated suffix of the
+        trail as it is visited, so the rules fire in a random order; the
+        result does not depend on it. Only tests pass rng. A mark taken
+        inside that suffix would be invalidated, and none is: marks are
+        taken at fixpoints. Returns a non-stable result on a validity
+        break or a dead single, leaving the state dirty for the caller to
+        undo.
         """
-        stable = self._close_monotone(rng)
-        self._clear_pending()
+        trail = self._trail
+        stable = True
+        while stable and self._done < len(trail):
+            i = self._done
+            if rng is not None:
+                j = rng.randrange(i, len(trail))
+                trail[i], trail[j] = trail[j], trail[i]
+            self._done = i + 1
+            stable = self._visit(trail[i])
         return PropagationResult(stable=stable)
+
+    def _visit(self, v: int) -> bool:
+        """Fire the rules that coloring v can have enabled; False on a
+        validity break or a dead single."""
+        state, pair = self.state, self.pair
+        adjacency = self.graph.adjacency
+        if state[v] == WHITE:
+            for u, _ in adjacency[v]:
+                if state[u] == UNCOLORED and not self.set_black(u):
+                    return False
+        elif pair[v] != NO_PAIR:
+            # the mate may have been visited while still single
+            for x in (v, pair[v]):
+                p = pair[x]
+                for u, _ in adjacency[x]:
+                    if u != p and state[u] == UNCOLORED and not self.set_white(u):
+                        return False
+        # coloring v raised black_nbrs or lowered uncolored_nbrs of each u
+        for u, _ in adjacency[v]:
+            if state[u] == UNCOLORED:
+                if self.black_nbrs[u] >= 2 and not self.set_white(u):
+                    return False
+            elif state[u] == BLACK and pair[u] == NO_PAIR and not self._settle_single(u):
+                return False
+        return state[v] == WHITE or pair[v] != NO_PAIR or self._settle_single(v)
+
+    def _settle_single(self, s: int) -> bool:
+        """The single rule on the black vertex s: pair it with its one
+        uncolored neighbor; False when it has none left."""
+        left = self.uncolored_nbrs[s]
+        if left == 1:
+            u = next(u for u, _ in self.graph.adjacency[s] if self.state[u] == UNCOLORED)
+            return self.set_black(u)
+        return left > 1
 
     # -- queries ----------------------------------------------------------
 

@@ -285,10 +285,8 @@ def _search(
             # a complete assignment of D that propagated stably
             root = sum(1 << i for i, u in enumerate(d_sorted) if state[u] == BLACK)
             if tracer:
-                bits = " ".join(
-                    f"{u}={'B' if state[u] == BLACK else 'W'}" for u in d_sorted
-                )
-                node = tracer.add(node, f"root {root:#x}: {bits or 'empty'}")
+                # bit k is the k-th vertex of D, listed in the top label
+                node = tracer.add(node, f"root {root:#x}")
             if observer is not None:
                 root_blacks = frozenset(u for u in d_sorted if state[u] == BLACK)
                 observer(root, root_blacks, col.singles())

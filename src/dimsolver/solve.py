@@ -46,11 +46,9 @@ def _solve_residual(
         raise ValueError("branch tracing is only available with the domset algorithm")
     if algo == "mis":
         return "mis", solve_mis(residual)
-    if algo == "brute":
-        oc = brute_solve(residual)
-        dim = oc.min_dim(residual) if oc.total else None
-        return "brute", SolveOutcome(dim=dim, stats=oc)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    oc = brute_solve(residual)  # "brute"; solve_instance rejected the rest
+    dim = oc.min_dim(residual) if oc.total else None
+    return "brute", SolveOutcome(dim=dim, stats=oc)
 
 
 def solve_instance(

@@ -10,6 +10,7 @@ import pytest
 
 from dimsolver import (
     BLACK,
+    NO_PAIR,
     Coloring,
     ContractViolation,
     UNCOLORED,
@@ -224,3 +225,61 @@ def test_propagate_rng_orders_agree():
                 reference = outcome
             else:
                 assert outcome == reference
+
+
+def assert_closed(col):
+    # a direct scan of every vertex finds no rule that still applies
+    g, state, pair = col.graph, col.state, col.pair
+    for v in range(g.n):
+        nbrs = [u for u, _ in g.adjacency[v]]
+        uncolored = [u for u in nbrs if state[u] == UNCOLORED]
+        if state[v] == WHITE:
+            assert not uncolored, f"white {v} has uncolored neighbors {uncolored}"
+        elif state[v] == BLACK and pair[v] != NO_PAIR:
+            assert not uncolored, f"paired {v} has uncolored neighbors {uncolored}"
+        elif state[v] == BLACK:
+            assert len(uncolored) >= 2, f"single {v} has uncolored {uncolored}"
+        else:
+            assert sum(state[u] == BLACK for u in nbrs) <= 1, f"{v} sees two blacks"
+
+
+def snapshot(col):
+    return (bytes(col.state), list(col.pair), list(col.pair_edge),
+            list(col.black_nbrs), list(col.uncolored_nbrs))
+
+
+def test_incremental_propagation_equals_propagation_from_scratch():
+    # seeded walks of decide, propagate and undo to a random earlier mark;
+    # after every stable propagate the coloring is closed under the rules
+    # and equals one fresh propagate over the live decisions
+    checks = undos = refuted = 0
+    for i, g in enumerate(random_corpus(200, seed=61, n_lo=4, n_hi=14)):
+        rng = random.Random(i)
+        col = Coloring(g)
+        decisions = []
+        marks = [(col.mark(), 0)]  # (trail mark, live decisions), all at fixpoints
+        for _ in range(3 * g.n):
+            free = [v for v in range(g.n) if col.state[v] == UNCOLORED]
+            if free:
+                v = rng.choice(free)
+                decisions.append((v, rng.choice((WHITE, BLACK))))
+                stable = col.set_color(*decisions[-1]) and col.propagate().stable
+            else:
+                stable = True
+            if not stable or not free or rng.random() < 0.25:
+                refuted += not stable
+                undos += 1
+                del marks[rng.randrange(len(marks)) + 1 :]
+                mark, live = marks[-1]
+                col.undo_to(mark)
+                del decisions[live:]
+            else:
+                marks.append((col.mark(), len(decisions)))
+            assert_closed(col)
+            fresh = Coloring(g)
+            assert all(fresh.set_color(v, c) for v, c in decisions)
+            assert fresh.propagate().stable
+            assert snapshot(col) == snapshot(fresh)
+            checks += 1
+    # the walks must actually refute and undo, not only descend
+    assert refuted > 1000 and undos > 2000 and checks > 4000
