@@ -27,6 +27,7 @@ a separate query, singles().
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -221,10 +222,10 @@ class Coloring:
         return UNCOLORED not in self.state
 
     def to_dim(self) -> Dim:
-        """Extract the matched black edges of a total valid coloring."""
+        """Extract the matched black edges of a total valid coloring; the
+        weight is their math.fsum, correctly rounded in any order."""
         state = self.state
         ids = []
-        weight = 0.0
         for v in range(self.graph.n):
             if state[v] == UNCOLORED:
                 raise ContractViolation(f"vertex {v} is uncolored, coloring not total")
@@ -233,7 +234,5 @@ class Coloring:
                 if p == NO_PAIR:
                     raise ContractViolation(f"black vertex {v} has no pair")
                 if p > v:
-                    eid = self.pair_edge[v]
-                    ids.append(eid)
-                    weight += self.graph.edges[eid][2]
-        return Dim(frozenset(ids), weight)
+                    ids.append(self.pair_edge[v])
+        return Dim(frozenset(ids), math.fsum(self.graph.edges[eid][2] for eid in ids))

@@ -27,8 +27,12 @@ class GraphFormatError(ValueError):
 
 
 def _finite_total(edges) -> bool:
-    # every DIM weight is a partial sum of the edge weights
-    return math.isfinite(sum(w for _, _, w in edges))
+    # every DIM weight is a math.fsum of some of the edge weights, and no
+    # such sum exceeds the correctly rounded total
+    try:
+        return math.isfinite(math.fsum(w for _, _, w in edges))
+    except OverflowError:
+        return False
 
 
 def _index(n: int, edges) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -226,27 +230,22 @@ class PreprocessResult:
 
     forced_edges are isolated-edge components (original edge id, weight):
     each such edge belongs to every DIM of the original graph. The residual
-    graph has minimum degree >= 1 and no single-edge components. Vertex and
-    edge ids are remapped densely; *_to_original map residual ids back,
-    original_to_residual maps forward with -1 for removed vertices.
+    graph has minimum degree >= 1 and no single-edge components. Its ids
+    are dense; edge_to_original maps residual edge ids back.
     """
 
     residual: Graph
     forced_edges: tuple[tuple[int, float], ...]
-    removed_isolated_vertices: tuple[int, ...]
-    vertex_to_original: tuple[int, ...]
-    original_to_residual: tuple[int, ...]
     edge_to_original: tuple[int, ...]
 
-    @property
-    def forced_weight(self) -> float:
-        return float(sum(w for _, w in self.forced_edges))
-
     def original_dim(self, dim: Dim) -> Dim:
-        """Map a DIM of the residual back to the original graph, adding forced edges."""
+        """Map a DIM of the residual back to the original graph, adding forced
+        edges; the weight is one math.fsum over all of their weights."""
         ids = {self.edge_to_original[e] for e in dim.edge_ids}
         ids.update(e for e, _ in self.forced_edges)
-        return Dim(frozenset(ids), dim.weight + self.forced_weight)
+        edges = self.residual.edges
+        weights = [edges[e][2] for e in dim.edge_ids] + [w for _, w in self.forced_edges]
+        return Dim(frozenset(ids), math.fsum(weights))
 
 
 def preprocess(g: Graph) -> PreprocessResult:
@@ -254,7 +253,7 @@ def preprocess(g: Graph) -> PreprocessResult:
 
     Any DIM of the original graph is the union of the forced edges and a
     DIM of the residual, and vice versa; preprocess is idempotent. When
-    nothing is stripped the residual is g itself, with identity maps.
+    nothing is stripped the residual is g itself, with the identity edge map.
     """
     adj = g.adjacency
     # a vertex is in a component of three or more vertices exactly when it
@@ -265,8 +264,7 @@ def preprocess(g: Graph) -> PreprocessResult:
         if len(nbrs) > 1 or (nbrs and len(adj[nbrs[0][0]]) > 1)
     ]
     if len(kept) == g.n:
-        ident = tuple(range(g.n))
-        return PreprocessResult(g, (), (), ident, ident, tuple(range(g.m)))
+        return PreprocessResult(g, (), tuple(range(g.m)))
 
     fwd = [-1] * g.n
     for new, old in enumerate(kept):
@@ -291,9 +289,6 @@ def preprocess(g: Graph) -> PreprocessResult:
     return PreprocessResult(
         residual=Graph._checked(len(kept), tuple(res_edges), res_adj),
         forced_edges=tuple(forced),
-        removed_isolated_vertices=tuple(v for v in range(g.n) if not adj[v]),
-        vertex_to_original=tuple(kept),
-        original_to_residual=tuple(fwd),
         edge_to_original=tuple(edge_map),
     )
 

@@ -8,9 +8,11 @@ black with two black neighbors kills the MIS. A member of I can only ever
 turn black if it has degree exactly 1 and its sole neighbor is a single
 black, so exactly those members are the pair options of the singles;
 everything else in I is white. Each single must pick one of its options,
-choices are independent, and picking cheapest per single is optimal:
-solve_mis reads its DIM off the reduction. The same product structure
-counts all DIMs without duplicates in count_dims.
+choices are independent, and picking cheapest per single is optimal.
+One walk over the sets does both jobs: solve_mis reads the cheapest DIM
+off it and count_dims the product counts, which hold every DIM exactly
+once. Every weight is a math.fsum of the DIM's edge weights, correctly
+rounded and so the same in any summation order.
 
 There are at most 3^ceil(n/3) maximal independent sets (Moon and Moser);
 enumerate_mis raises ContractViolation rather than yield more.
@@ -18,7 +20,8 @@ enumerate_mis raises ContractViolation rather than yield more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .coloring import NO_PAIR, Coloring, ContractViolation
@@ -34,11 +37,16 @@ class MisStats:
 
 @dataclass(frozen=True)
 class CountResult:
-    """Number of distinct DIMs, plus multiplicity at the minimum weight."""
+    """Number of distinct DIMs, plus multiplicity at the minimum weight.
+
+    witness is a DIM of that weight, None when there is none; it takes no
+    part in equality or the repr.
+    """
 
     total: int
     min_weight: float | None
     min_count: int
+    witness: Dim | None = field(default=None, compare=False, repr=False)
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -107,16 +115,15 @@ class InducedColoring:
 
     valid is False when some black vertex got two black neighbors. matched
     holds the ids of the edges already matched between paired blacks, by
-    lower endpoint, and base_weight their total weight. Each single's
-    pair_options lists its candidate partners, the members of degree 1
-    next to it, as (weight, vertex, edge id), cheapest first.
+    lower endpoint. Each single's pair_options lists its candidate
+    partners, the members of degree 1 next to it, as (weight, vertex,
+    edge id), cheapest first.
     """
 
     valid: bool
     matched: tuple[int, ...]
     singles: tuple[int, ...]
     pair_options: dict[int, tuple[tuple[float, int, int], ...]]
-    base_weight: float
 
 
 def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
@@ -126,7 +133,7 @@ def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
     members = set(independent)
     for v in range(g.n):
         if v not in members and not col.set_black(v):
-            return InducedColoring(False, (), (), {}, 0.0)
+            return InducedColoring(False, (), (), {})
     for v in members:
         if col.black_nbrs[v] != g.degree(v):
             raise ContractViolation(f"vertex {v} has a neighbor inside the independent set")
@@ -147,36 +154,47 @@ def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
         for s in singles
     }
     matched = tuple(col.pair_edge[v] for v in range(g.n) if col.pair[v] > v)
-    base = sum(g.edges[eid][2] for eid in matched)
-    return InducedColoring(True, matched, singles, options, float(base))
+    return InducedColoring(True, matched, singles, options)
+
+
+def _walk(g: Graph) -> tuple[CountResult, MisStats]:
+    """The one pass over every maximal independent set.
+
+    Counts every DIM, keeps the first cheapest one found as the witness
+    (each single takes its first, cheapest option), and counts the DIMs
+    that tie with it: within a set, the singles' choices at their cheapest
+    weight, which give the same multiset of edge weights.
+    """
+    best: Dim | None = None
+    total = min_count = mis_count = completions = 0
+    for mis in enumerate_mis(g):
+        mis_count += 1
+        ic = induced_coloring(g, mis)
+        options = [ic.pair_options[s] for s in ic.singles]
+        if not ic.valid or not all(options):
+            continue
+        completions += 1
+        total += math.prod(map(len, options))
+        ids = ic.matched + tuple(opts[0][2] for opts in options)
+        weight = math.fsum(g.edges[eid][2] for eid in ids)
+        ties = math.prod(sum(1 for w, _, _ in opts if w == opts[0][0]) for opts in options)
+        # strict: ties keep the earliest MIS
+        if best is None or weight < best.weight:
+            best, min_count = Dim(frozenset(ids), weight), ties
+        elif weight == best.weight:
+            min_count += ties
+    stats = MisStats(mis_count=mis_count, completions=completions)
+    if best is None:
+        return CountResult(0, None, 0), stats
+    return CountResult(total, best.weight, min_count, best), stats
 
 
 def solve_mis(g: Graph) -> SolveOutcome:
     """Minimum-weight DIM of a preprocessed graph via MIS enumeration."""
-    best: Dim | None = None
-    mis_count = 0
-    completions = 0
-    for mis in enumerate_mis(g):
-        mis_count += 1
-        ic = induced_coloring(g, mis)
-        if not ic.valid or not all(ic.pair_options[s] for s in ic.singles):
-            continue
-        completions += 1
-        # each single takes its cheapest option
-        ids = ic.matched + tuple(ic.pair_options[s][0][2] for s in ic.singles)
-        # summed by lower endpoint, as Coloring.to_dim sums, so the weight
-        # equals the domset engine's bit for bit
-        weight = sum((w for _, _, w in sorted(g.edges[eid] for eid in ids)), 0.0)
-        # strict: ties keep the earliest MIS
-        if best is None or weight < best.weight:
-            best = Dim(frozenset(ids), weight)
-
-    stats = MisStats(mis_count=mis_count, completions=completions)
-    if best is None:
-        return SolveOutcome(dim=None, stats=stats)
-    if not validate_dim(g, best.edge_ids):
+    res, stats = _walk(g)
+    if res.witness is not None and not validate_dim(g, res.witness.edge_ids):
         raise ContractViolation("solver produced an edge set that fails validation")
-    return SolveOutcome(dim=best, stats=stats)
+    return SolveOutcome(dim=res.witness, stats=stats)
 
 
 def count_dims(g: Graph) -> CountResult:
@@ -192,33 +210,4 @@ def count_dims(g: Graph) -> CountResult:
             raise ValueError(
                 f"graph has an isolated edge {u}-{v}; preprocess before counting"
             )
-    total = 0
-    best_weight: float | None = None
-    best_count = 0
-    for mis in enumerate_mis(g):
-        ic = induced_coloring(g, mis)
-        if not ic.valid:
-            continue
-        ways = 1
-        min_extra = 0.0
-        min_ways = 1
-        for s in ic.singles:
-            opts = ic.pair_options[s]
-            if not opts:
-                ways = 0
-                break
-            ways *= len(opts)
-            cheapest = opts[0][0]
-            min_extra += cheapest
-            min_ways *= sum(1 for w, _, _ in opts if w == cheapest)
-        if ways == 0:
-            continue
-        total += ways
-        weight = ic.base_weight + min_extra
-        if best_weight is None or weight < best_weight:
-            best_weight, best_count = weight, min_ways
-        elif weight == best_weight:
-            best_count += min_ways
-    if total == 0:
-        return CountResult(0, None, 0)
-    return CountResult(total, best_weight, best_count)
+    return _walk(g)[0]

@@ -8,6 +8,7 @@ solvers so it can arbitrate them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import Dim, Graph
@@ -54,9 +55,9 @@ class OracleResult:
 def _weight_of(
     edges: tuple[tuple[int, int, float], ...], edge_ids: frozenset[int]
 ) -> float:
-    # summed by lower endpoint, the order the solvers sum in, so that equal
-    # DIMs get bit-equal weights
-    return sum((w for _, _, w in sorted(edges[e] for e in edge_ids)), 0.0)
+    """The correctly rounded sum of the DIM's edge weights: exact before one
+    rounding, so it does not depend on the order of the edges."""
+    return math.fsum(edges[e][2] for e in edge_ids)
 
 
 def brute_solve(g: Graph) -> OracleResult:

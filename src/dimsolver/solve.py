@@ -76,9 +76,11 @@ def solve_instance(
 
 
 def count_instance(g: Graph) -> CountResult:
-    """Count the DIMs of g; weights include any forced isolated edges."""
+    """Count the DIMs of g; the minimum weight is that of the counter's
+    witness DIM on g, forced isolated edges included."""
     pre = preprocess(g)
     res = count_dims(pre.residual)
-    if res.total == 0:
+    if res.witness is None:
         return res
-    return CountResult(res.total, res.min_weight + pre.forced_weight, res.min_count)
+    dim = pre.original_dim(res.witness)
+    return CountResult(res.total, dim.weight, res.min_count, dim)

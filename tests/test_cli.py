@@ -113,6 +113,18 @@ def test_overflowing_total_weight_is_an_input_error(command, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "count"])
+def test_total_that_only_rounds_to_a_finite_sum_is_an_input_error(command, capsys):
+    # three isolated edges, all in the one DIM: added left to right the
+    # weights stay at the float maximum, but their exact sum rounds to inf
+    text = "p dim 6 3\ne 1 2 1.7976931348623157e308\ne 3 4 9e291\ne 5 6 9e291\n"
+    code = run([command], stdin=text)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == "error: total edge weight is not finite\n"
+    assert out.out == ""
+
+
 def test_trace_writes_dot(p4_file, tmp_path, capsys):
     dot = tmp_path / "tree.dot"
     code = run(["solve", "--input", str(p4_file), "--trace", f"dot:{dot}"])

@@ -182,15 +182,12 @@ def test_preprocess_splits_trivial_components():
     #  0 isolated; 1-2 isolated edge; 3-4-5 path
     g = graph(6, [(1, 2, 5.0), (3, 4, 2.0), (4, 5, 7.0)])
     pre = preprocess(g)
-    assert pre.removed_isolated_vertices == (0,)
     assert pre.forced_edges == ((0, 5.0),)
-    assert pre.forced_weight == 5.0
     assert pre.residual.n == 3 and pre.residual.m == 2
-    # vertex maps are mutually inverse where defined
-    for rv, ov in enumerate(pre.vertex_to_original):
-        assert pre.original_to_residual[ov] == rv
-    # residual DIM {cheap edge} lifts to original ids with forced edge merged
-    lifted = pre.original_dim(Dim(frozenset({0}), 2.0))
+    assert pre.edge_to_original == (1, 2)
+    # residual DIM {cheap edge} lifts to original ids with forced edge merged;
+    # the weight is summed from the edges, not taken from the residual DIM
+    lifted = pre.original_dim(Dim(frozenset({0}), 0.0))
     assert lifted.weight == 7.0
     assert lifted.edge_ids == {0, 1}
 
@@ -199,16 +196,15 @@ def test_preprocess_idempotent():
     for g in random_corpus(40, seed=9):
         pre = preprocess(g)
         again = preprocess(pre.residual)
-        assert again.residual == pre.residual
-        assert again.forced_edges == () and again.removed_isolated_vertices == ()
+        assert again.residual is pre.residual
+        assert again.forced_edges == ()
 
 
 def test_preprocess_returns_the_input_when_nothing_is_stripped():
     for g in (P4_527, C4_UNIT, Graph(0, ())):
         pre = preprocess(g)
         assert pre.residual is g
-        assert pre.forced_edges == () and pre.removed_isolated_vertices == ()
-        assert pre.vertex_to_original == pre.original_to_residual == tuple(range(g.n))
+        assert pre.forced_edges == ()
         assert pre.edge_to_original == tuple(range(g.m))
 
 
@@ -216,7 +212,11 @@ def test_preprocess_residual_matches_the_public_constructor():
     stripped = 0
     for g in random_corpus(120, seed=31):
         pre = preprocess(g)
-        kept = pre.vertex_to_original
+        # the vertices of components with three or more vertices
+        kept = [
+            v for v in range(g.n)
+            if g.degree(v) > 1 or any(g.degree(u) > 1 for u, _ in g.adjacency[v])
+        ]
         fwd = {old: new for new, old in enumerate(kept)}
         want = Graph(
             len(kept),

@@ -71,7 +71,6 @@ def test_induced_coloring_star():
     assert ic.valid
     assert ic.singles == (0,) and ic.matched == ()
     assert ic.pair_options == {0: ((1.0, 2, 1), (4.0, 1, 0), (9.0, 3, 2))}
-    assert ic.base_weight == 0.0
     dim = solve_mis(STAR_419).dim
     assert dim.weight == 1.0 and dim.edge_ids == frozenset({1})
 
@@ -79,8 +78,9 @@ def test_induced_coloring_star():
 def test_induced_coloring_adjacent_blacks_pair_up():
     ic = induced_coloring(P4_527, {0, 3})
     assert ic.valid and ic.singles == () and ic.pair_options == {}
-    assert ic.matched == (1,) and ic.base_weight == 2.0
-    assert solve_mis(P4_527).dim.edge_ids == frozenset({1})
+    assert ic.matched == (1,)
+    dim = solve_mis(P4_527).dim
+    assert dim.weight == 2.0 and dim.edge_ids == frozenset({1})
 
 
 def test_induced_coloring_dead_ends():
@@ -123,15 +123,19 @@ def test_enumeration_raises_past_the_ceiling(monkeypatch):
 
 
 def test_engines_report_the_same_bits():
-    # 0.7 + 0.2 + 0.2 summed by lower endpoint; base plus extras gives 1.1
+    # 0.7 + 0.2 + 0.2 gives 1.0999999999999999 left to right, 1.1 in any
+    # order that adds 0.2 + 0.2 first; the correctly rounded sum is 1.1
     g = graph(
         8,
         [(0, 3, 0.7), (0, 7, 0.3), (1, 5, 0.2), (2, 4, 0.2),
          (2, 7, 0.7), (3, 7, 0.1), (5, 6, 0.3), (5, 7, 0.2)],
     )
     for out in (solve_mis(g), solve_domset(g)):
-        assert out.dim.weight == 1.0999999999999999
+        assert out.dim.weight == 1.1
         assert out.dim.edge_ids == frozenset({0, 2, 3})
+    assert count_dims(g) == CountResult(2, 1.1, 1)
+    want = brute_solve(g)
+    assert want.min_weight == 1.1 and want.min_dim(g).edge_ids == frozenset({0, 2, 3})
 
 
 def test_solver_golden_weights():

@@ -4,6 +4,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimsolver import (
     Graph,
@@ -89,6 +90,38 @@ def test_no_dim_reported_as_none_everywhere():
         assert solve_instance(C5_UNIT, algo=algo).dim is None
     res = count_instance(C5_UNIT)
     assert (res.total, res.min_weight, res.min_count) == (0, None, 0)
+
+
+# derandomized, so every run checks the same 200 graphs
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            # one- or two-decimal weights k / 10 or k / 100
+            st.sampled_from((10, 100)),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 999))
+                .filter(lambda t: t[0] != t[1]),
+                unique_by=lambda t: tuple(sorted(t[:2])),
+                max_size=n * (n - 1) // 2,
+            ),
+            # the weights of 0-2 isolated edges, which preprocessing forces
+            st.lists(st.integers(0, 999), max_size=2),
+        )
+    )
+)
+def test_every_path_reports_the_oracle_weight_on_decimal_weights(instance):
+    n, scale, core, isolated = instance
+    edges = [(u, v, k / scale) for u, v, k in core]
+    edges += [(n + 2 * i, n + 2 * i + 1, k / scale) for i, k in enumerate(isolated)]
+    g = graph(n + 2 * len(isolated), edges)
+    want = brute_solve(g)
+    for algo in ("auto", "mis"):
+        dim = solve_instance(g, algo=algo).dim
+        assert (None if dim is None else dim.weight) == want.min_weight, algo
+    res = count_instance(g)
+    assert (res.total, res.min_weight) == (want.total, want.min_weight)
 
 
 def test_reports_which_algorithm_ran():
