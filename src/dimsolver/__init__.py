@@ -41,7 +41,6 @@ from .graph import (
 from .mis import (
     CountResult,
     InducedColoring,
-    MisStats,
     count_dims,
     enumerate_mis,
     induced_coloring,
@@ -56,7 +55,6 @@ from .oracle import (
 )
 from .solve import (
     ALGORITHMS,
-    InstanceResult,
     count_instance,
     solve_instance,
 )
@@ -78,10 +76,8 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "InducedColoring",
-    "InstanceResult",
     "InstanceTooLargeError",
     "MAX_ORACLE_N",
-    "MisStats",
     "NO_PAIR",
     "OracleResult",
     "PreprocessResult",

@@ -5,7 +5,8 @@ plus multiplicity at the minimum), gen (deterministic instance
 generator), bench (corpus runner with bound checks).
 
 Exit codes: 0 a DIM was found (or the corpus passed), 1 no DIM exists,
-2 bad input or bad flags, 3 a solver broke one of its own guarantees.
+2 bad input or bad flags, 3 a solver broke one of its own guarantees,
+4 the run ran out of memory or of recursion depth.
 Stdout is byte-stable for a fixed (input, flags, seed); diagnostics and
 the `auto: selected <engine>` banner go to stderr.
 """
@@ -93,7 +94,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.input))
     result = solve_instance(g, algo=args.algo, tracer=tracer)
     if args.algo == "auto":
-        print(f"auto: selected {result.algorithm}", file=sys.stderr)
+        print(f"auto: selected {result.stats.engine}", file=sys.stderr)
     if tracer is not None:
         Path(trace_path).write_text(tracer.to_dot())
     if result.dim is None:
@@ -154,6 +155,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ContractViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, RecursionError) as exc:
+        what = "memory" if isinstance(exc, MemoryError) else "recursion depth"
+        print(f"error: the run ran out of {what}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ class Coloring:
         "graph",
         "state",
         "pair",
-        "pair_edge",
         "black_nbrs",
         "uncolored_nbrs",
         "_trail",
@@ -76,7 +75,6 @@ class Coloring:
         n = g.n
         self.state = bytearray(n)
         self.pair = [NO_PAIR] * n
-        self.pair_edge = [NO_PAIR] * n
         self.black_nbrs = [0] * n
         self.uncolored_nbrs = [g.degree(v) for v in range(n)]
         self._trail: list[int] = []
@@ -98,9 +96,7 @@ class Coloring:
             p = self.pair[v]
             if p != NO_PAIR:
                 self.pair[p] = NO_PAIR
-                self.pair_edge[p] = NO_PAIR
                 self.pair[v] = NO_PAIR
-                self.pair_edge[v] = NO_PAIR
             for u, _ in self.graph.adjacency[v]:
                 self.uncolored_nbrs[u] += 1
                 if was_black:
@@ -127,20 +123,17 @@ class Coloring:
         self._trail.append(v)
         ok = self.black_nbrs[v] <= 1
         mate = NO_PAIR
-        mate_eid = NO_PAIR
-        for u, eid in self.graph.adjacency[v]:
+        for u, _ in self.graph.adjacency[v]:
             self.uncolored_nbrs[u] -= 1
             self.black_nbrs[u] += 1
             if state[u] == BLACK:
                 if self.black_nbrs[u] > 1:
                     ok = False
-                mate, mate_eid = u, eid
+                mate = u
         if ok and mate != NO_PAIR:
             # v's unique black neighbor was single, they pair up
             self.pair[v] = mate
             self.pair[mate] = v
-            self.pair_edge[v] = mate_eid
-            self.pair_edge[mate] = mate_eid
         return ok
 
     def set_color(self, v: int, color: int) -> bool:
@@ -234,5 +227,5 @@ class Coloring:
                 if p == NO_PAIR:
                     raise ContractViolation(f"black vertex {v} has no pair")
                 if p > v:
-                    ids.append(self.pair_edge[v])
+                    ids.append(self.graph.edge_id(v, p))
         return Dim(frozenset(ids), math.fsum(self.graph.edges[eid][2] for eid in ids))

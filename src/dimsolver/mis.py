@@ -25,14 +25,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .coloring import NO_PAIR, Coloring, ContractViolation
-from .domset import SolveOutcome
+from .domset import SolveOutcome, SolveStats
 from .graph import Dim, Graph, validate_dim
-
-
-@dataclass(frozen=True)
-class MisStats:
-    mis_count: int
-    completions: int
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,6 @@ def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
     Raises ContractViolation before yielding more than 3^ceil(n/3) sets.
     """
     n = g.n
-    if n == 0:
-        yield frozenset()
-        return
     adj = _adjacency_masks(g)
     cap = 3 ** ((n + 2) // 3)
     found = 0
@@ -127,8 +118,14 @@ class InducedColoring:
 
 
 def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
-    """Reduce one independent set; raises ContractViolation when it is not
-    independent."""
+    """Reduce one independent set.
+
+    A set that is not independent is never reported valid. Independence
+    is checked only once the black side has passed, so such a set raises
+    ContractViolation when every black vertex has at most one black
+    neighbor, and returns valid=False otherwise. Checking first would scan
+    the members of every invalid set, and those make up most of a count.
+    """
     col = Coloring(g)
     members = set(independent)
     for v in range(g.n):
@@ -153,11 +150,11 @@ def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
         )
         for s in singles
     }
-    matched = tuple(col.pair_edge[v] for v in range(g.n) if col.pair[v] > v)
+    matched = tuple(g.edge_id(v, col.pair[v]) for v in range(g.n) if col.pair[v] > v)
     return InducedColoring(True, matched, singles, options)
 
 
-def _walk(g: Graph) -> tuple[CountResult, MisStats]:
+def _walk(g: Graph) -> tuple[CountResult, SolveStats]:
     """The one pass over every maximal independent set.
 
     Counts every DIM, keeps the first cheapest one found as the witness
@@ -183,7 +180,7 @@ def _walk(g: Graph) -> tuple[CountResult, MisStats]:
             best, min_count = Dim(frozenset(ids), weight), ties
         elif weight == best.weight:
             min_count += ties
-    stats = MisStats(mis_count=mis_count, completions=completions)
+    stats = SolveStats("mis", mis_count=mis_count, completions=completions)
     if best is None:
         return CountResult(0, None, 0), stats
     return CountResult(total, best.weight, min_count, best), stats

@@ -7,48 +7,25 @@ refutes; the independent set route walks every maximal independent set,
 of which there are at most 3^(n/3). "auto" runs the dominating set
 route: with pruning it was never measurably slower than the independent
 set route on random and planted graphs, so nothing is selected.
+
+solve_instance returns the SolveOutcome the engine returned, with the DIM
+mapped back to the input graph's edge ids. Its stats.engine names the
+engine that ran; "brute" runs the oracle, which counts nothing, so its
+record holds the engine name alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import ContractViolation
 from .domset import SolveOutcome, SolveStats, solve_domset
-from .graph import Dim, Graph, PreprocessResult, preprocess, validate_dim
-from .mis import CountResult, MisStats, count_dims, solve_mis
-from .oracle import OracleResult, brute_solve
+from .graph import Graph, preprocess, validate_dim
+from .mis import CountResult, count_dims, solve_mis
+from .oracle import brute_solve
 from .trace import DotTracer
 
 ALGORITHMS = ("auto", "domset", "mis", "brute")
-
-
-@dataclass(frozen=True)
-class InstanceResult:
-    """Outcome for one input graph, expressed in its original vertex ids."""
-
-    dim: Optional[Dim]
-    algorithm: str
-    stats: SolveStats | MisStats | OracleResult
-    preprocess: PreprocessResult
-
-
-def _solve_residual(
-    residual: Graph,
-    algo: str,
-    observer,
-    tracer: Optional[DotTracer],
-) -> tuple[str, SolveOutcome]:
-    if algo in ("auto", "domset"):
-        return "domset", solve_domset(residual, observer=observer, tracer=tracer)
-    if tracer is not None:
-        raise ValueError("branch tracing is only available with the domset algorithm")
-    if algo == "mis":
-        return "mis", solve_mis(residual)
-    oc = brute_solve(residual)  # "brute"; solve_instance rejected the rest
-    dim = oc.min_dim(residual) if oc.total else None
-    return "brute", SolveOutcome(dim=dim, stats=oc)
 
 
 def solve_instance(
@@ -56,23 +33,31 @@ def solve_instance(
     algo: str = "auto",
     observer: Optional[Callable] = None,
     tracer: Optional[DotTracer] = None,
-) -> InstanceResult:
+) -> SolveOutcome:
     """Minimum-weight DIM of g, or None when g has no DIM.
 
     Isolated vertices and isolated edges are split off first; the chosen
-    algorithm runs on the remainder and forced edges are merged back in,
-    so the returned edge ids index g.edges.
+    engine runs on the remainder and forced edges are merged back in, so
+    the returned edge ids index g.edges; stats is the engine's own record.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     pre = preprocess(g)
-    used, outcome = _solve_residual(pre.residual, algo, observer, tracer)
+    residual = pre.residual
+    if algo in ("auto", "domset"):
+        outcome = solve_domset(residual, observer=observer, tracer=tracer)
+    elif tracer is not None:
+        raise ValueError("branch tracing is only available with the domset algorithm")
+    elif algo == "mis":
+        outcome = solve_mis(residual)
+    else:
+        outcome = SolveOutcome(brute_solve(residual).min_dim(residual), SolveStats("brute"))
     if outcome.dim is None:
-        return InstanceResult(None, used, outcome.stats, pre)
+        return outcome
     dim = pre.original_dim(outcome.dim)
     if not validate_dim(g, dim.edge_ids):
         raise ContractViolation("merged solution fails validation on the input graph")
-    return InstanceResult(dim, used, outcome.stats, pre)
+    return SolveOutcome(dim, outcome.stats)
 
 
 def count_instance(g: Graph) -> CountResult:

@@ -323,7 +323,7 @@ def test_desk_scale_auto_n30(seed):
     assert elapsed < 60.0, f"n=30 seed={seed} took {elapsed:.1f}s"
     _report(
         "desk scale n=30",
-        f"seed {seed} via {result.algorithm} in {elapsed:.2f}s",
+        f"seed {seed} via {result.stats.engine} in {elapsed:.2f}s",
     )
 
 

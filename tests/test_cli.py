@@ -212,6 +212,19 @@ def test_bench_violations_exit_three(tmp_path, capsys, monkeypatch):
     assert report.exists()
 
 
+@pytest.mark.parametrize("command, target", [("solve", "solve_instance"), ("count", "count_instance")])
+@pytest.mark.parametrize("exc, what", [(MemoryError, "memory"), (RecursionError, "recursion depth")])
+def test_exhausted_resources_exit_four(command, target, exc, what, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert run([command], stdin=P4_TEXT) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: the run ran out of {what}\n"
+
+
 def test_installed_entry_point_round_trip(tmp_path):
     # the child imports the same package as this process, installed or not
     src = str(Path(dimsolver.__file__).resolve().parent.parent)

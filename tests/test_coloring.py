@@ -53,7 +53,8 @@ def test_pairing_is_symmetric_and_recorded():
     col = Coloring(P3)
     assert col.set_black(0) and col.set_black(1)
     assert col.pair[0] == 1 and col.pair[1] == 0
-    assert col.pair_edge[0] == col.pair_edge[1] == P3.edge_id(0, 1)
+    assert col.set_white(2)
+    assert col.to_dim().edge_ids == frozenset({P3.edge_id(0, 1)})
 
 
 def test_white_forces_neighbors_black():
@@ -244,8 +245,8 @@ def assert_closed(col):
 
 
 def snapshot(col):
-    return (bytes(col.state), list(col.pair), list(col.pair_edge),
-            list(col.black_nbrs), list(col.uncolored_nbrs))
+    return (bytes(col.state), list(col.pair), list(col.black_nbrs),
+            list(col.uncolored_nbrs))
 
 
 def test_incremental_propagation_equals_propagation_from_scratch():

@@ -100,8 +100,12 @@ def test_induced_coloring_dead_ends():
 
 
 def test_induced_coloring_rejects_dependent_sets():
+    # a dependent set is never reported valid: it raises when the black
+    # side passes, and is invalid when the black side fails first
     with pytest.raises(ContractViolation, match="inside the independent set"):
         induced_coloring(P4_527, {0, 1})
+    g = Graph(5, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 3, 1.0), (3, 4, 1.0)))
+    assert not induced_coloring(g, {3, 4}).valid
 
 
 def test_high_degree_members_never_turn_black():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dimsolver import (
     Graph,
+    SolveStats,
     brute_solve,
     count_instance,
     solve_instance,
@@ -30,7 +31,7 @@ ALL_ALGOS = ("auto", "domset", "mis", "brute")
 def test_auto_runs_domset_on_tiny_dominating_sets():
     g = star([1.0] * 9)
     r = solve_instance(g, algo="auto")
-    assert r.algorithm == "domset"
+    assert r.stats.engine == "domset"
     assert r.stats.dominating_set_size == 1
     assert r.dim == solve_instance(g, algo="domset").dim
 
@@ -39,7 +40,7 @@ def test_auto_runs_domset_on_spread_graphs():
     # cycles with |D| = n/2, and a lone edge that preprocessing removes
     for g in (cycle([1.0] * 12), cycle([1.0, 2.0, 3.0] * 10), graph(2, [(0, 1, 2.0)])):
         r = solve_instance(g, algo="auto")
-        assert r.algorithm == "domset"
+        assert r.stats.engine == "domset"
         assert r.dim == solve_instance(g, algo="domset").dim
         assert r.dim.weight == solve_instance(g, algo="mis").dim.weight
         assert r.stats.search_nodes <= 2 * g.n
@@ -126,13 +127,13 @@ def test_every_path_reports_the_oracle_weight_on_decimal_weights(instance):
 
 def test_reports_which_algorithm_ran():
     r = solve_instance(star([1.0] * 9), algo="auto")
-    assert r.algorithm == "domset"
+    assert r.stats.engine == "domset"
     r = solve_instance(cycle([1.0] * 10), algo="auto")
-    assert r.algorithm == "domset"
+    assert r.stats.engine == "domset"
     r = solve_instance(cycle([1.0] * 10), algo="mis")
-    assert r.algorithm == "mis"
+    assert r.stats.engine == "mis"
     r = solve_instance(P4_527, algo="brute")
-    assert r.algorithm == "brute"
+    assert r.stats == SolveStats("brute")
 
 
 def test_unknown_algorithm_rejected():
@@ -153,7 +154,7 @@ def test_auto_with_tracer_falls_back_to_domset():
 
     tracer = DotTracer()
     r = solve_instance(cycle([1.0] * 10), algo="auto", tracer=tracer)
-    assert r.algorithm == "domset"
+    assert r.stats.engine == "domset"
     assert "->" in tracer.to_dot()
 
 
