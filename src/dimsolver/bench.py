@@ -11,7 +11,10 @@ a disagreement lands in the report's violation list instead of stopping
 the run, so one bad instance cannot hide the rest. A malformed corpus
 file stops the run with a GraphFormatError that names the file.
 
-Timings use perf_counter and are the one non-reproducible column.
+Each engine runs through solve_instance, as solve runs it, so a row's
+weight is the one solve prints and each timing column covers
+preprocessing, the engine and the final validation. Timings use
+perf_counter and are the one non-reproducible column.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from pathlib import Path
 from typing import Optional
 
 from .coloring import ContractViolation
-from .domset import solve_domset
-from .graph import GraphFormatError, format_weight, parse_graph, preprocess
-from .mis import solve_mis
+from .graph import GraphFormatError, format_weight, parse_graph
+from .solve import solve_instance
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,11 @@ def run_bench(corpus: str | Path) -> BenchReport:
             g = parse_graph(path.read_text())
         except GraphFormatError as exc:
             raise GraphFormatError(f"{path.name}: {exc}") from exc
-        pre = preprocess(g)
-
         try:
             t0 = time.perf_counter()
-            dom = solve_domset(pre.residual)
+            dom = solve_instance(g, "domset")
             t1 = time.perf_counter()
-            mis = solve_mis(pre.residual)
+            mis = solve_instance(g, "mis")
             t2 = time.perf_counter()
         except ContractViolation as exc:
             violations.append(f"{path.name}: {exc}")
@@ -99,8 +99,7 @@ def run_bench(corpus: str | Path) -> BenchReport:
                 roots=dom.stats.roots_explored,
                 leaves=sum(dom.stats.branch_leaves_per_root),
                 mis_count=mis.stats.mis_count,
-                # as solve prints it, forced isolated edges included
-                weight=pre.original_dim(dom.dim).weight if dw is not None else None,
+                weight=dw,
                 domset_seconds=t1 - t0,
                 mis_seconds=t2 - t1,
             )

@@ -85,12 +85,7 @@ def _trace_target(spec: Optional[str]) -> Optional[str]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     trace_path = _trace_target(args.trace)
-    tracer = None
-    if trace_path is not None:
-        if args.algo in ("mis", "brute"):
-            raise ValueError("--trace needs the domset branch solver; drop --algo "
-                             f"{args.algo} or use --algo domset")
-        tracer = DotTracer()
+    tracer = DotTracer() if trace_path is not None else None
     g = parse_graph(_read(args.input))
     result = solve_instance(g, algo=args.algo, tracer=tracer)
     if args.algo == "auto":

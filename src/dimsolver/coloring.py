@@ -27,7 +27,6 @@ a separate query, singles().
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -215,8 +214,7 @@ class Coloring:
         return UNCOLORED not in self.state
 
     def to_dim(self) -> Dim:
-        """Extract the matched black edges of a total valid coloring; the
-        weight is their math.fsum, correctly rounded in any order."""
+        """Extract the matched black edges of a total valid coloring."""
         state = self.state
         ids = []
         for v in range(self.graph.n):
@@ -228,4 +226,4 @@ class Coloring:
                     raise ContractViolation(f"black vertex {v} has no pair")
                 if p > v:
                     ids.append(self.graph.edge_id(v, p))
-        return Dim(frozenset(ids), math.fsum(self.graph.edges[eid][2] for eid in ids))
+        return self.graph.dim(ids)

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
-    """Malformed instance text; `line` is the 1-based offending line number."""
+    """A malformed edge or instance text; `line` is the 1-based offending
+    line number, None when no single line is at fault or there is no text."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -62,26 +64,12 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = []
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {u}-{v}: vertex id out of range")
-            if u == v:
-                raise ValueError(f"edge {u}-{v}: self-loop")
-            w = float(w)
-            if not math.isfinite(w) or w < 0:
-                raise ValueError(f"edge {u}-{v}: weight must be finite and >= 0")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"edge {u}-{v}: duplicate")
-            seen.add((u, v))
-            norm.append((u, v, w))
-        if not _finite_total(norm):
+        seen: dict[int, int | None] = {}
+        edges = tuple(_check_edge(self.n, u, v, w, seen) for u, v, w in self.edges)
+        if not _finite_total(edges):
             raise ValueError("total edge weight is not finite")
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "adjacency", _index(self.n, norm))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adjacency", _index(self.n, edges))
 
     @classmethod
     def _checked(
@@ -90,9 +78,8 @@ class Graph:
         edges: tuple[tuple[int, int, float], ...],
         adjacency: tuple[tuple[tuple[int, int], ...], ...],
     ) -> Graph:
-        """A graph from edges that already passed the checks of __post_init__,
-        normalized to u < v with float weights, and their adjacency in edge
-        order. Nothing is checked or indexed again."""
+        """A graph from edges that already passed _check_edge, and their
+        adjacency in edge order. Nothing is checked or indexed again."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "edges", edges)
@@ -114,6 +101,13 @@ class Graph:
                 return eid
         return None
 
+    def dim(self, edge_ids: Iterable[int]) -> Dim:
+        """The DIM made of these edges. Its weight is the math.fsum of
+        their weights, correctly rounded and so the same in any order; no
+        other code sums a DIM's weight."""
+        ids = frozenset(edge_ids)
+        return Dim(ids, math.fsum(self.edges[e][2] for e in ids))
+
 
 @dataclass(frozen=True)
 class Dim:
@@ -130,22 +124,39 @@ def format_weight(w: float) -> str:
     return repr(w)
 
 
-def _parse_weight(token: str, lineno: int) -> float:
+def _check_edge(
+    n: int, u: int, v: int, w, seen: dict[int, int | None], line: int | None = None, base: int = 0
+) -> tuple[int, int, float]:
+    """The one check of an edge u-v of weight w as written, where vertex ids
+    start at base and w is a number or its text. Returns (a, b, weight),
+    0-based with a < b, and records the edge in seen, which maps key
+    a * n + b of each edge checked so far to its line. Errors carry line."""
     try:
-        w = float(token)
+        weight = float(w)
     except ValueError:
-        raise GraphFormatError(f"invalid weight {token!r}", lineno) from None
-    if math.isnan(w) or math.isinf(w):
-        raise GraphFormatError(f"invalid weight {token!r}", lineno)
-    if w < 0:
-        raise GraphFormatError(f"negative weight {token!r}", lineno)
-    return w
+        raise GraphFormatError(f"invalid weight {w!r}", line) from None
+    if not math.isfinite(weight):
+        raise GraphFormatError(f"invalid weight {w!r}", line)
+    if weight < 0:
+        raise GraphFormatError(f"negative weight {w!r}", line)
+    if not (base <= u < n + base and base <= v < n + base):
+        raise GraphFormatError(f"vertex id out of range in edge {u} {v}", line)
+    if u == v:
+        raise GraphFormatError(f"self-loop at vertex {u}", line)
+    a, b = (u - base, v - base) if u < v else (v - base, u - base)
+    key = a * n + b
+    if key in seen:
+        first = seen[key]
+        where = "" if first is None else f" (first seen at line {first})"
+        raise GraphFormatError(f"duplicate edge {u} {v}{where}", line)
+    seen[key] = line
+    return a, b, weight
 
 
 def parse_graph(text: str | bytes) -> Graph:
     """Parse instance text, raising GraphFormatError with a line number.
 
-    Each edge is checked as its line is read, with the same checks as
+    Each edge is checked as its line is read, by the same function as in
     Graph(n, edges), and indexed once the whole text has passed; the graph
     is not checked again.
     """
@@ -153,8 +164,7 @@ def parse_graph(text: str | bytes) -> Graph:
         text = text.decode("utf-8")
     n = m = None
     edges: list[tuple[int, int, float]] = []
-    # 0-based endpoints a < b, keyed a * n + b, map to their first line
-    seen: dict[int, int] = {}
+    seen: dict[int, int | None] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts:
@@ -184,24 +194,10 @@ def parse_graph(text: str | bytes) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError("malformed edge, expected 'e <u> <v> <w>'", lineno) from None
-            w = _parse_weight(parts[3], lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"vertex id out of range in edge {u} {v}", lineno)
-            if u < v:
-                a, b = u - 1, v - 1
-            elif u > v:
-                a, b = v - 1, u - 1
-            else:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            key = a * n + b
-            if key in seen:
-                raise GraphFormatError(
-                    f"duplicate edge {u} {v} (first seen at line {seen[key]})", lineno
-                )
-            seen[key] = lineno
+            edge = _check_edge(n, u, v, parts[3], seen, lineno, base=1)
             if len(edges) == m:
                 raise GraphFormatError(f"more than the declared {m} edges", lineno)
-            edges.append((a, b, w))
+            edges.append(edge)
         elif kind != "c":
             raise GraphFormatError(f"unknown record type {kind!r}", lineno)
     if n is None:
@@ -228,24 +224,24 @@ def serialize_graph(g: Graph) -> str:
 class PreprocessResult:
     """Outcome of trivial-component elimination.
 
-    forced_edges are isolated-edge components (original edge id, weight):
-    each such edge belongs to every DIM of the original graph. The residual
-    graph has minimum degree >= 1 and no single-edge components. Its ids
-    are dense; edge_to_original maps residual edge ids back.
+    forced_edges are the ids of the isolated-edge components of the
+    original graph: each such edge belongs to every DIM of it. The
+    residual graph has minimum degree >= 1 and no single-edge components.
+    Its ids are dense; edge_to_original maps residual edge ids back.
     """
 
+    original: Graph
     residual: Graph
-    forced_edges: tuple[tuple[int, float], ...]
+    forced_edges: tuple[int, ...]
     edge_to_original: tuple[int, ...]
 
     def original_dim(self, dim: Dim) -> Dim:
-        """Map a DIM of the residual back to the original graph, adding forced
-        edges; the weight is one math.fsum over all of their weights."""
-        ids = {self.edge_to_original[e] for e in dim.edge_ids}
-        ids.update(e for e, _ in self.forced_edges)
-        edges = self.residual.edges
-        weights = [edges[e][2] for e in dim.edge_ids] + [w for _, w in self.forced_edges]
-        return Dim(frozenset(ids), math.fsum(weights))
+        """Map a DIM of the residual back to the original graph, adding
+        forced edges; the weight is summed from the original's weights."""
+        to_original = self.edge_to_original
+        return self.original.dim(
+            [*(to_original[e] for e in dim.edge_ids), *self.forced_edges]
+        )
 
 
 def preprocess(g: Graph) -> PreprocessResult:
@@ -264,19 +260,19 @@ def preprocess(g: Graph) -> PreprocessResult:
         if len(nbrs) > 1 or (nbrs and len(adj[nbrs[0][0]]) > 1)
     ]
     if len(kept) == g.n:
-        return PreprocessResult(g, (), tuple(range(g.m)))
+        return PreprocessResult(g, g, (), tuple(range(g.m)))
 
     fwd = [-1] * g.n
     for new, old in enumerate(kept):
         fwd[old] = new
     res_edges: list[tuple[int, int, float]] = []
     edge_map: list[int] = []
-    forced: list[tuple[int, float]] = []
+    forced: list[int] = []
     res_eid = [-1] * g.m
     for eid, (u, v, w) in enumerate(g.edges):
         if fwd[u] == -1:
             # u and v have degree 1: an isolated-edge component
-            forced.append((eid, w))
+            forced.append(eid)
         else:
             res_eid[eid] = len(res_edges)
             res_edges.append((fwd[u], fwd[v], w))
@@ -287,6 +283,7 @@ def preprocess(g: Graph) -> PreprocessResult:
         tuple((fwd[u], res_eid[eid]) for u, eid in adj[old]) for old in kept
     )
     return PreprocessResult(
+        original=g,
         residual=Graph._checked(len(kept), tuple(res_edges), res_adj),
         forced_edges=tuple(forced),
         edge_to_original=tuple(edge_map),

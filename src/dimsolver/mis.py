@@ -11,8 +11,8 @@ everything else in I is white. Each single must pick one of its options,
 choices are independent, and picking cheapest per single is optimal.
 One walk over the sets does both jobs: solve_mis reads the cheapest DIM
 off it and count_dims the product counts, which hold every DIM exactly
-once. Every weight is a math.fsum of the DIM's edge weights, correctly
-rounded and so the same in any summation order.
+once. Every weight is summed by Graph.dim, correctly rounded and so the
+same in any order.
 
 There are at most 3^ceil(n/3) maximal independent sets (Moon and Moser);
 enumerate_mis raises ContractViolation rather than yield more.
@@ -172,13 +172,12 @@ def _walk(g: Graph) -> tuple[CountResult, SolveStats]:
             continue
         completions += 1
         total += math.prod(map(len, options))
-        ids = ic.matched + tuple(opts[0][2] for opts in options)
-        weight = math.fsum(g.edges[eid][2] for eid in ids)
+        dim = g.dim(ic.matched + tuple(opts[0][2] for opts in options))
         ties = math.prod(sum(1 for w, _, _ in opts if w == opts[0][0]) for opts in options)
         # strict: ties keep the earliest MIS
-        if best is None or weight < best.weight:
-            best, min_count = Dim(frozenset(ids), weight), ties
-        elif weight == best.weight:
+        if best is None or dim.weight < best.weight:
+            best, min_count = dim, ties
+        elif dim.weight == best.weight:
             min_count += ties
     stats = SolveStats("mis", mis_count=mis_count, completions=completions)
     if best is None:

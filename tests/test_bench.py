@@ -2,10 +2,13 @@
 
 import pytest
 
-import dimsolver.bench
 import dimsolver.cli
+import dimsolver.solve
 from dimsolver import (
     ContractViolation,
+    Dim,
+    SolveOutcome,
+    SolveStats,
     gen_instance,
     parse_graph,
     run_bench,
@@ -85,14 +88,14 @@ def test_malformed_file_stops_the_run_and_is_named(tmp_path, capsys):
 
 
 def test_engine_breach_is_one_violation_not_an_abort(tmp_path, monkeypatch, capsys):
-    real = dimsolver.bench.solve_domset
+    real = dimsolver.solve.solve_domset
 
-    def breaks_on_p5(g):
+    def breaks_on_p5(g, **kwargs):
         if g.n == 5:
             raise ContractViolation("root 0: leaves=3 > 2^1")
-        return real(g)
+        return real(g, **kwargs)
 
-    monkeypatch.setattr(dimsolver.bench, "solve_domset", breaks_on_p5)
+    monkeypatch.setattr(dimsolver.solve, "solve_domset", breaks_on_p5)
     write_corpus(tmp_path, [(f"p{n}.dim", "path", n, n) for n in (4, 5, 6)])
     report = run_bench(tmp_path)
     assert [r.name for r in report.rows] == ["p4.dim", "p6.dim"]
@@ -104,6 +107,21 @@ def test_engine_breach_is_one_violation_not_an_abort(tmp_path, monkeypatch, caps
     assert "p5.dim" in capsys.readouterr().err
     lines = tsv.read_text().splitlines()
     assert len(lines) == 4 and lines[-1].startswith("# VIOLATION\tp5.dim")
+
+
+def test_disagreeing_engines_are_one_violation(tmp_path, monkeypatch):
+    # a 6-cycle has three DIMs, of weight 1 + 4, 2 + 5 and 3 + 6; the
+    # independent set engine is made to return the heaviest, a valid DIM
+    text = "p dim 6 6\ne 1 2 1\ne 2 3 2\ne 3 4 3\ne 4 5 4\ne 5 6 5\ne 1 6 6\n"
+    (tmp_path / "c6.dim").write_text(text)
+
+    def heaviest(g):
+        return SolveOutcome(Dim(frozenset({2, 5}), 9.0), SolveStats("mis"))
+
+    monkeypatch.setattr(dimsolver.solve, "solve_mis", heaviest)
+    report = run_bench(tmp_path)
+    assert report.violations == ("c6.dim: solvers disagree, domset=5.0 mis=9.0",)
+    assert [r.weight for r in report.rows] == [5.0]
 
 
 def test_violations_render_in_tsv(tmp_path):

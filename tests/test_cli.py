@@ -10,7 +10,7 @@ import pytest
 
 import dimsolver
 import dimsolver.cli as cli
-from dimsolver import BenchReport
+from dimsolver import BenchReport, ContractViolation
 
 P4_TEXT = "c four path\np dim 4 3\ne 1 2 5\ne 2 3 2\ne 3 4 7\n"
 C4_TEXT = "p dim 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n"
@@ -213,16 +213,26 @@ def test_bench_violations_exit_three(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command, target", [("solve", "solve_instance"), ("count", "count_instance")])
-@pytest.mark.parametrize("exc, what", [(MemoryError, "memory"), (RecursionError, "recursion depth")])
-def test_exhausted_resources_exit_four(command, target, exc, what, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "exc, err, code",
+    [
+        pytest.param(MemoryError, "error: the run ran out of memory", 4,
+                     id="MemoryError-memory"),
+        pytest.param(RecursionError, "error: the run ran out of recursion depth", 4,
+                     id="RecursionError-recursion depth"),
+        pytest.param(ContractViolation, "internal error: leaves=3 > 2^1", 3,
+                     id="ContractViolation-internal"),
+    ],
+)
+def test_exhausted_resources_exit_four(command, target, exc, err, code, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
-        raise exc()
+        raise exc("leaves=3 > 2^1")
 
     monkeypatch.setattr(cli, target, exhausted)
-    assert run([command], stdin=P4_TEXT) == 4
+    assert run([command], stdin=P4_TEXT) == code
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == f"error: the run ran out of {what}\n"
+    assert out.err == f"{err}\n"
 
 
 def test_installed_entry_point_round_trip(tmp_path):

@@ -295,6 +295,20 @@ def test_tracer_records_branches():
     assert 'complete w=1234567"' in tracer.to_dot()
 
 
+def test_wave_refutes_forced_centers_joined_by_an_edge():
+    # at the root 0 and 1 are black and each has one forced pair; one
+    # wave pairs 0 with 2, then 1 with 5, whose black neighbors are 1 and
+    # 2, so the wave breaks and no DIM exists
+    g = graph(8, [(0, 2, 1), (0, 3, 1), (0, 4, 1), (2, 3, 1), (2, 4, 1), (1, 5, 1),
+                  (1, 6, 1), (1, 7, 1), (5, 6, 1), (5, 7, 1), (2, 5, 1)])
+    tracer = DotTracer()
+    assert solve_domset(g, tracer=tracer).dim is None
+    assert brute_solve(g).min_dim(g) is None
+    dot = tracer.to_dot()
+    assert "forced 2 pairs 0" in dot
+    assert "forced 5 pairs 1\\ninvalid" in dot
+
+
 def test_tracer_labels_roots_too_long_for_decimal():
     # D of P30000 has 15000 vertices, so the root index has 15000 bits,
     # past the interpreter's 4300-digit cap on int to decimal conversion.

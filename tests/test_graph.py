@@ -47,6 +47,7 @@ def test_parse_roundtrip_golden():
     text = "c tiny\np dim 4 3\ne 1 2 5\ne 2 3 2\ne 3 4 7\n"
     g = parse_graph(text)
     assert g == P4_527
+    assert parse_graph(text.encode()) == g
     assert parse_graph(serialize_graph(g)) == g
 
 
@@ -84,6 +85,7 @@ def test_parse_error_reports_offending_line():
 PARSE_ERRORS = [
     ("p dim 2 0\np dim 2 0\n", GraphFormatError, "line 2: duplicate 'p dim' header", 2),
     ("p dim 2\n", GraphFormatError, "line 1: malformed header, expected 'p dim <n> <m>'", 1),
+    ("p dim x 1\n", GraphFormatError, "line 1: malformed header, expected 'p dim <n> <m>'", 1),
     ("p dim 2 -1\n", GraphFormatError, "line 1: header counts must be non-negative", 1),
     (
         "c x\ne 1 2 3\np dim 2 1\n",
@@ -182,7 +184,7 @@ def test_preprocess_splits_trivial_components():
     #  0 isolated; 1-2 isolated edge; 3-4-5 path
     g = graph(6, [(1, 2, 5.0), (3, 4, 2.0), (4, 5, 7.0)])
     pre = preprocess(g)
-    assert pre.forced_edges == ((0, 5.0),)
+    assert pre.forced_edges == (0,)
     assert pre.residual.n == 3 and pre.residual.m == 2
     assert pre.edge_to_original == (1, 2)
     # residual DIM {cheap edge} lifts to original ids with forced edge merged;
