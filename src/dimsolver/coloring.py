@@ -75,7 +75,7 @@ class Coloring:
         self.state = bytearray(n)
         self.pair = [NO_PAIR] * n
         self.black_nbrs = [0] * n
-        self.uncolored_nbrs = [g.degree(v) for v in range(n)]
+        self.uncolored_nbrs = [len(a) for a in g.adjacency]
         self._trail: list[int] = []
         self._done = 0  # trail entries propagate has visited
 

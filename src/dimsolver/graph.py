@@ -6,8 +6,8 @@ The file format is DIMACS-like, one record per line:
     p dim <n> <m>          exactly once, before any edge
     e <u> <v> <w>          m times; 1-based endpoints, non-negative weight
 
-Vertices are 0-based internally and 1-based in files. Graphs are immutable
-once constructed, so many colorings can share one.
+Numbers use ASCII digits, no underscores; vertices are 1-based in files and
+0-based internally. Graphs are immutable, so many colorings can share one.
 """
 
 from __future__ import annotations
@@ -153,6 +153,11 @@ def _check_edge(
     return a, b, weight
 
 
+def _plain(token: str) -> bool:
+    # int() and float() also read underscores and non-ASCII digits
+    return token.isascii() and "_" not in token
+
+
 def parse_graph(text: str | bytes) -> Graph:
     """Parse instance text, raising GraphFormatError with a line number.
 
@@ -162,6 +167,7 @@ def parse_graph(text: str | bytes) -> Graph:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    plain = _plain(text)  # one scan spares the check per number
     n = m = None
     edges: list[tuple[int, int, float]] = []
     seen: dict[int, int | None] = {}
@@ -173,11 +179,9 @@ def parse_graph(text: str | bytes) -> Graph:
         if kind == "p":
             if n is not None:
                 raise GraphFormatError("duplicate 'p dim' header", lineno)
-            if len(parts) != 4 or parts[1] != "dim":
-                raise GraphFormatError(
-                    "malformed header, expected 'p dim <n> <m>'", lineno
-                )
             try:
+                if len(parts) != 4 or parts[1] != "dim" or not (plain or _plain(parts[2] + parts[3])):
+                    raise ValueError
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise GraphFormatError(
@@ -188,12 +192,14 @@ def parse_graph(text: str | bytes) -> Graph:
         elif kind == "e":
             if n is None:
                 raise GraphFormatError("edge record before 'p dim' header", lineno)
-            if len(parts) != 4:
-                raise GraphFormatError("malformed edge, expected 'e <u> <v> <w>'", lineno)
             try:
+                if len(parts) != 4 or not (plain or _plain(parts[1] + parts[2])):
+                    raise ValueError
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError("malformed edge, expected 'e <u> <v> <w>'", lineno) from None
+            if not (plain or _plain(parts[3])):
+                raise GraphFormatError(f"invalid weight {parts[3]!r}", lineno)
             edge = _check_edge(n, u, v, parts[3], seen, lineno, base=1)
             if len(edges) == m:
                 raise GraphFormatError(f"more than the declared {m} edges", lineno)

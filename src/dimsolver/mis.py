@@ -14,8 +14,9 @@ off it and count_dims the product counts, which hold every DIM exactly
 once. Every weight is summed by Graph.dim, correctly rounded and so the
 same in any order.
 
-There are at most 3^ceil(n/3) maximal independent sets (Moon and Moser);
-enumerate_mis raises ContractViolation rather than yield more.
+enumerate_mis (Tsukiyama et al. 1977) tests each child with bit operations
+over its parent's members, and raises ContractViolation rather than yield
+more than the 3^ceil(n/3) maximal independent sets of Moon and Moser.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ class CountResult:
     witness: Dim | None = field(default=None, compare=False, repr=False)
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v, _ in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
     """Yield every maximal independent set exactly once.
 
@@ -58,11 +51,11 @@ def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
     absorbs vertex k, survives unchanged, or spawns a repaired set that is
     kept only when this MIS is its canonical (greedily re-extended) parent,
     which makes the emission duplicate-free without storing any sets.
-    Iterative stack, polynomial delay per set, deterministic order.
+    Iterative stack, O(n * |set|) integer operations per set, deterministic order.
     Raises ContractViolation before yielding more than 3^ceil(n/3) sets.
     """
     n = g.n
-    adj = _adjacency_masks(g)
+    adj = [sum(1 << u for u, _ in nbrs) for nbrs in g.adjacency]
     cap = 3 ** ((n + 2) // 3)
     found = 0
     stack: list[tuple[int, int]] = [(0, 0)]
@@ -71,33 +64,43 @@ def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
         while k < n:
             if adj[k] & cur == 0:
                 cur |= 1 << k
-            else:
-                cand = (cur & ~adj[k]) | (1 << k)
-                if _maximal_prefix(adj, cand, k + 1) and _greedy_extend(
-                    adj, cand & ~(1 << k), k
-                ) == cur:
-                    stack.append((k + 1, cand))
+            elif _is_child(adj, cur, k):
+                stack.append((k + 1, (cur & ~adj[k]) | (1 << k)))
             k += 1
         found += 1
         if found > cap:
             raise ContractViolation(
                 f"enumerated {found} maximal independent sets > 3^ceil(n/3) = {cap}"
             )
-        yield frozenset(v for v in range(n) if (cur >> v) & 1)
+        members = []
+        while cur:
+            low = cur & -cur
+            members.append(low.bit_length() - 1)
+            cur ^= low
+        yield frozenset(members)
 
 
-def _maximal_prefix(adj: list[int], s: int, upto: int) -> bool:
-    for u in range(upto):
-        if not (s >> u) & 1 and not (adj[u] & s):
-            return False
-    return True
-
-
-def _greedy_extend(adj: list[int], s: int, upto: int) -> int:
-    for u in range(upto):
-        if not (s >> u) & 1 and not (adj[u] & s):
-            s |= 1 << u
-    return s
+def _is_child(adj: list[int], cur: int, k: int) -> bool:
+    """Whether cur, a MIS of vertices 0..k-1 that clashes with k, is the
+    canonical parent of A + k, A being cur minus the neighbors B of k:
+    A + k is maximal on 0..k, and each earlier non-member not next to A
+    has a neighbor in B below it, so greedily extending A gives back cur."""
+    near_k = adj[k]
+    near_a = 0
+    rest = cur & ~near_k
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        near_a |= adj[low.bit_length() - 1]
+    free = ((1 << k) - 1) & ~cur & ~near_a
+    if free & ~near_k:
+        return False
+    rest = cur & near_k
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        free &= ~adj[low.bit_length() - 1] | (low << 1) - 1  # drop its neighbors above it
+    return free == 0
 
 
 @dataclass(frozen=True)

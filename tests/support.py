@@ -61,6 +61,38 @@ def random_corpus(
         yield random_graph(rng, n, p)
 
 
+def reference_mis(g: Graph) -> Iterator[frozenset[int]]:
+    """Every maximal independent set, in the order enumerate_mis must
+    yield them: the vertex-by-vertex extension with the canonical-parent
+    check written as two loops over all earlier vertices."""
+    adj = [0] * g.n
+    for u, v, _ in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    def maximal_prefix(s: int, upto: int) -> bool:
+        return all((s >> u) & 1 or adj[u] & s for u in range(upto))
+
+    def greedy_extend(s: int, upto: int) -> int:
+        for u in range(upto):
+            if not (s >> u) & 1 and not (adj[u] & s):
+                s |= 1 << u
+        return s
+
+    stack = [(0, 0)]
+    while stack:
+        k, cur = stack.pop()
+        while k < g.n:
+            if adj[k] & cur == 0:
+                cur |= 1 << k
+            else:
+                cand = (cur & ~adj[k]) | (1 << k)
+                if maximal_prefix(cand, k + 1) and greedy_extend(cand & ~(1 << k), k) == cur:
+                    stack.append((k + 1, cand))
+            k += 1
+        yield frozenset(v for v in range(g.n) if (cur >> v) & 1)
+
+
 def path_dim_weight(weights: Sequence[float]) -> float | None:
     """Minimum DIM weight of the path with these edge weights in order, or
     None. A left-to-right DP over vertex colors: a white is followed by a

@@ -87,6 +87,23 @@ PARSE_ERRORS = [
     ("p dim 2\n", GraphFormatError, "line 1: malformed header, expected 'p dim <n> <m>'", 1),
     ("p dim x 1\n", GraphFormatError, "line 1: malformed header, expected 'p dim <n> <m>'", 1),
     ("p dim 2 -1\n", GraphFormatError, "line 1: header counts must be non-negative", 1),
+    # int() and float() read underscores and non-ASCII digits; the format does not
+    ("p dim 1_0 1\n", GraphFormatError, "line 1: malformed header, expected 'p dim <n> <m>'", 1),
+    ("p dim \u0663 0\n", GraphFormatError, "line 1: malformed header, expected 'p dim <n> <m>'", 1),
+    (
+        "c \u0663_\np dim 10 1\ne 1_0 2 1\n",
+        GraphFormatError,
+        "line 3: malformed edge, expected 'e <u> <v> <w>'",
+        3,
+    ),
+    (
+        "p dim 3 1\ne 1 \u0662 1\n",
+        GraphFormatError,
+        "line 2: malformed edge, expected 'e <u> <v> <w>'",
+        2,
+    ),
+    ("p dim 10 1\ne 10 2 1_5\n", GraphFormatError, "line 2: invalid weight '1_5'", 2),
+    ("p dim 3 1\ne 1 2 \u0661\u0665\n", GraphFormatError, "line 2: invalid weight '\u0661\u0665'", 2),
     (
         "c x\ne 1 2 3\np dim 2 1\n",
         GraphFormatError,
@@ -147,7 +164,7 @@ def test_parse_error_corpus(text, kind, message, line, tmp_path, capsys):
 
 
 def test_comment_is_any_line_whose_first_token_is_c():
-    text = "c\tnote\np dim 2 1\n  c\n\tc  x y\ne 1 2 5\nc\n"
+    text = "c\tnote\np dim 2 1\n  c\n\tc  x_y \u0663\ne 1 2 5\nc\n"
     assert parse_graph(text) == graph(2, [(0, 1, 5.0)])
 
 

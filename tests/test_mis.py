@@ -1,7 +1,7 @@
 """Independent set enumeration, induced colorings, and the DIM counter."""
 
 import itertools
-from unittest import mock
+import random
 
 import pytest
 
@@ -31,6 +31,8 @@ from support import (
     is_bipartite,
     path,
     random_corpus,
+    random_graph,
+    reference_mis,
 )
 
 
@@ -58,6 +60,15 @@ def test_enumeration_count_ceiling():
         assert mu <= 3 ** ((g.n + 2) // 3)
         if is_bipartite(g):
             assert mu <= 2 ** ((g.n + 1) // 2)
+
+
+def test_enumeration_order_matches_the_two_loop_reference():
+    # the first cheapest set becomes the witness, so a reordering would
+    # change what solve --algo mis prints on ties
+    rng = random.Random(59)
+    dense = [random_graph(rng, n, 0.35) for n in (30, 36, 40, 44)]
+    for g in [*random_corpus(512, seed=53, n_lo=2, n_hi=14), *dense]:
+        assert list(enumerate_mis(g)) == list(reference_mis(g))
 
 
 def test_enumeration_scales_without_recursion():
@@ -118,10 +129,9 @@ def test_high_degree_members_never_turn_black():
 
 
 def test_enumeration_raises_past_the_ceiling(monkeypatch):
-    # with both canonical-parent checks accepting every candidate, P6
-    # would yield 13 sets, duplicates included, > 3^ceil(6/3) = 9
-    monkeypatch.setattr(dimsolver.mis, "_maximal_prefix", lambda adj, s, upto: True)
-    monkeypatch.setattr(dimsolver.mis, "_greedy_extend", lambda adj, s, upto: mock.ANY)
+    # with the canonical-parent test accepting every child, P6 would
+    # yield 13 sets, duplicates included, > 3^ceil(6/3) = 9
+    monkeypatch.setattr(dimsolver.mis, "_is_child", lambda adj, cur, k: True)
     with pytest.raises(ContractViolation, match=r"10 maximal independent sets > 3\^ceil\(n/3\) = 9"):
         list(enumerate_mis(path([1.0] * 5)))
 
