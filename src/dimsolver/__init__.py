@@ -15,12 +15,9 @@ from .coloring import (
     UNCOLORED,
     WHITE,
     Coloring,
-    ContractViolation,
     PropagationResult,
 )
 from .domset import (
-    SolveOutcome,
-    SolveStats,
     classify_part,
     classify_parts,
     find_dominating_set,
@@ -28,10 +25,14 @@ from .domset import (
 )
 from .generate import FAMILIES, gen_instance
 from .graph import (
+    ContractViolation,
+    CountResult,
     Dim,
     Graph,
     GraphFormatError,
     PreprocessResult,
+    SolveOutcome,
+    SolveStats,
     format_weight,
     parse_graph,
     preprocess,
@@ -39,7 +40,6 @@ from .graph import (
     validate_dim,
 )
 from .mis import (
-    CountResult,
     InducedColoring,
     count_dims,
     enumerate_mis,

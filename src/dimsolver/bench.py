@@ -11,9 +11,10 @@ a disagreement lands in the report's violation list instead of stopping
 the run, so one bad instance cannot hide the rest. A malformed corpus
 file stops the run with a GraphFormatError that names the file.
 
-Each engine runs through solve_instance, as solve runs it, so a row's
-weight is the one solve prints and each timing column covers
-preprocessing, the engine and the final validation. Timings use
+Each engine runs through solve_instance, as solve runs it, and a row
+keeps the two SolveOutcomes it returned; the report's columns are read
+off them, so the weight is the one solve prints. Each timing column
+covers preprocessing, the engine and the final validation. Timings use
 perf_counter and are the one non-reproducible column.
 """
 
@@ -22,23 +23,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from .coloring import ContractViolation
-from .graph import GraphFormatError, format_weight, parse_graph
+from .graph import ContractViolation, GraphFormatError, SolveOutcome, format_weight, parse_graph
 from .solve import solve_instance
 
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One corpus file: what each engine returned, and its wall time."""
+
     name: str
     n: int
     m: int
-    d_size: int
-    roots: int
-    leaves: int
-    mis_count: int
-    weight: Optional[float]
+    domset: SolveOutcome
+    mis: SolveOutcome
     domset_seconds: float
     mis_seconds: float
 
@@ -54,10 +52,12 @@ class BenchReport:
         )
         lines = [header]
         for r in self.rows:
-            weight = format_weight(r.weight) if r.weight is not None else "NODIM"
+            dim, d = r.domset.dim, r.domset.stats
+            weight = format_weight(dim.weight) if dim is not None else "NODIM"
             lines.append(
-                f"{r.name}\t{r.n}\t{r.m}\t{r.d_size}\t{r.roots}\t{r.leaves}"
-                f"\t{r.mis_count}\t{weight}\t{r.domset_seconds:.6f}\t{r.mis_seconds:.6f}"
+                f"{r.name}\t{r.n}\t{r.m}\t{d.dominating_set_size}\t{d.roots_explored}"
+                f"\t{sum(d.branch_leaves_per_root)}\t{r.mis.stats.mis_count}\t{weight}"
+                f"\t{r.domset_seconds:.6f}\t{r.mis_seconds:.6f}"
             )
         for v in self.violations:
             lines.append(f"# VIOLATION\t{v}")
@@ -90,18 +90,5 @@ def run_bench(corpus: str | Path) -> BenchReport:
         mw = mis.dim.weight if mis.dim is not None else None
         if dw != mw:
             violations.append(f"{path.name}: solvers disagree, domset={dw} mis={mw}")
-        rows.append(
-            BenchRow(
-                name=path.name,
-                n=g.n,
-                m=g.m,
-                d_size=dom.stats.dominating_set_size,
-                roots=dom.stats.roots_explored,
-                leaves=sum(dom.stats.branch_leaves_per_root),
-                mis_count=mis.stats.mis_count,
-                weight=dw,
-                domset_seconds=t1 - t0,
-                mis_seconds=t2 - t1,
-            )
-        )
+        rows.append(BenchRow(path.name, g.n, g.m, dom, mis, t1 - t0, t2 - t1))
     return BenchReport(tuple(rows), tuple(violations))

@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import run_bench
-from .coloring import ContractViolation
 from .generate import FAMILIES, gen_instance
-from .graph import format_weight, parse_graph, serialize_graph
+from .graph import ContractViolation, format_weight, parse_graph, serialize_graph
 from .solve import ALGORITHMS, count_instance, solve_instance
 from .trace import DotTracer
 

@@ -30,14 +30,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Dim, Graph
+from .graph import ContractViolation, Dim, Graph
 
 UNCOLORED, WHITE, BLACK = 0, 1, 2
 NO_PAIR = -1
-
-
-class ContractViolation(RuntimeError):
-    """An invariant the algorithms are supposed to guarantee was observed broken."""
 
 
 @dataclass(frozen=True)

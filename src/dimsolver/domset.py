@@ -30,10 +30,6 @@ q is the number of singles left after the dead/forced reduction; q never
 exceeds min(|D|, ceil(n/3)). Those bounds are enforced at runtime, not
 assumed: the root count as each root is reached, q when it is fixed, the
 leaf count as each leaf is reached.
-
-This module also defines the one result shape of every engine: a
-SolveOutcome holds the DIM, or None when there is none, and a SolveStats
-record whose engine field names the engine that ran.
 """
 
 from __future__ import annotations
@@ -41,41 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring, ContractViolation
-from .graph import Dim, Graph, format_weight, validate_dim
-
-
-@dataclass(frozen=True)
-class SolveStats:
-    """What one run of an engine counted.
-
-    engine names the engine that ran: "domset", "mis" or "brute". The
-    domset search fills the next five fields: search_nodes counts the
-    assignments tried in D, pruned ones included; roots_explored counts
-    the complete assignments that propagated stably, and the two tuples
-    hold one entry per such root, in root order. The MIS walk fills
-    mis_count, the maximal independent sets it visited, and completions,
-    those that completed to a DIM. A field the engine does not fill stays
-    0 or ().
-    """
-
-    engine: str
-    dominating_set_size: int = 0
-    search_nodes: int = 0
-    roots_explored: int = 0
-    branch_leaves_per_root: tuple[int, ...] = ()
-    residual_singles_per_root: tuple[int, ...] = ()
-    mis_count: int = 0
-    completions: int = 0
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Result of an exact engine: a minimum-weight DIM or a certified
-    absence (dim is None), and what the run counted."""
-
-    dim: Dim | None
-    stats: SolveStats
+from .coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring
+from .graph import (
+    ContractViolation, Dim, Graph, SolveOutcome, SolveStats, format_weight, validate_dim,
+)
 
 
 Observer = Callable[[int, frozenset[int], tuple[int, ...]], None]

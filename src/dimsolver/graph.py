@@ -1,4 +1,5 @@
-"""Weighted simple undirected graphs: representation, file I/O, preprocessing.
+"""Weighted simple undirected graphs: representation, file I/O, preprocessing,
+and the result types every engine answers with.
 
 The file format is DIMACS-like, one record per line:
 
@@ -8,6 +9,10 @@ The file format is DIMACS-like, one record per line:
 
 Numbers use ASCII digits, no underscores; vertices are 1-based in files and
 0-based internally. Graphs are immutable, so many colorings can share one.
+
+A solve returns a SolveOutcome (the DIM or None, and the run's
+SolveStats), a count a CountResult, and an engine raises
+ContractViolation when one of its own guarantees breaks.
 """
 
 from __future__ import annotations
@@ -117,6 +122,59 @@ class Dim:
     weight: float
 
 
+class ContractViolation(RuntimeError):
+    """An invariant the algorithms are supposed to guarantee was observed broken."""
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """What one run of an engine counted.
+
+    engine names the engine that ran: "domset", "mis" or "brute". The
+    domset search fills the next five fields: search_nodes counts the
+    assignments tried in D, pruned ones included; roots_explored counts
+    the complete assignments that propagated stably, and the two tuples
+    hold one entry per such root, in root order. The MIS walk fills
+    mis_count, the maximal independent sets it visited, and completions,
+    those that completed to a DIM. A field the engine does not fill stays
+    0 or ().
+    """
+
+    engine: str
+    dominating_set_size: int = 0
+    search_nodes: int = 0
+    roots_explored: int = 0
+    branch_leaves_per_root: tuple[int, ...] = ()
+    residual_singles_per_root: tuple[int, ...] = ()
+    mis_count: int = 0
+    completions: int = 0
+
+
+@dataclass(frozen=True)
+class SolveOutcome:
+    """Result of an exact engine: a minimum-weight DIM or a certified
+    absence (dim is None), and what the run counted."""
+
+    dim: Dim | None
+    stats: SolveStats
+
+
+@dataclass(frozen=True)
+class CountResult:
+    """Number of distinct DIMs, plus multiplicity at the minimum weight.
+
+    witness is a DIM of that weight, None when there is none, and stats
+    is what the count walk counted; neither takes part in equality or
+    the repr.
+    """
+
+    total: int
+    min_weight: float | None
+    min_count: int
+    witness: Dim | None = field(default=None, compare=False, repr=False)
+    stats: SolveStats | None = field(default=None, compare=False, repr=False)
+
+
 def format_weight(w: float) -> str:
     """Shortest exact decimal form; integral values print without a point."""
     if w == int(w):
@@ -125,12 +183,16 @@ def format_weight(w: float) -> str:
 
 
 def _check_edge(
-    n: int, u: int, v: int, w, seen: dict[int, int | None], line: int | None = None, base: int = 0
+    n: int, u: int, v: int, w, seen: dict[int, int | None], line: int | None = None, base: int = 0,
+    plain: bool = False,
 ) -> tuple[int, int, float]:
     """The one check of an edge u-v of weight w as written, where vertex ids
-    start at base and w is a number or its text. Returns (a, b, weight),
+    start at base and w is a number or its text; plain says the text is
+    already known to be ASCII without underscores. Returns (a, b, weight),
     0-based with a < b, and records the edge in seen, which maps key
     a * n + b of each edge checked so far to its line. Errors carry line."""
+    if not plain and isinstance(w, str) and not _plain(w):
+        raise GraphFormatError(f"invalid weight {w!r}", line)
     try:
         weight = float(w)
     except ValueError:
@@ -198,9 +260,7 @@ def parse_graph(text: str | bytes) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError("malformed edge, expected 'e <u> <v> <w>'", lineno) from None
-            if not (plain or _plain(parts[3])):
-                raise GraphFormatError(f"invalid weight {parts[3]!r}", lineno)
-            edge = _check_edge(n, u, v, parts[3], seen, lineno, base=1)
+            edge = _check_edge(n, u, v, parts[3], seen, lineno, base=1, plain=plain)
             if len(edges) == m:
                 raise GraphFormatError(f"more than the declared {m} edges", lineno)
             edges.append(edge)

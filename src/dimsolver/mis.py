@@ -22,26 +22,13 @@ more than the 3^ceil(n/3) maximal independent sets of Moon and Moser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .coloring import NO_PAIR, Coloring, ContractViolation
-from .domset import SolveOutcome, SolveStats
-from .graph import Dim, Graph, validate_dim
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """Number of distinct DIMs, plus multiplicity at the minimum weight.
-
-    witness is a DIM of that weight, None when there is none; it takes no
-    part in equality or the repr.
-    """
-
-    total: int
-    min_weight: float | None
-    min_count: int
-    witness: Dim | None = field(default=None, compare=False, repr=False)
+from .coloring import NO_PAIR, Coloring
+from .graph import (
+    ContractViolation, CountResult, Dim, Graph, SolveOutcome, SolveStats, validate_dim,
+)
 
 
 def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
@@ -157,13 +144,14 @@ def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
     return InducedColoring(True, matched, singles, options)
 
 
-def _walk(g: Graph) -> tuple[CountResult, SolveStats]:
+def _walk(g: Graph) -> CountResult:
     """The one pass over every maximal independent set.
 
     Counts every DIM, keeps the first cheapest one found as the witness
     (each single takes its first, cheapest option), and counts the DIMs
     that tie with it: within a set, the singles' choices at their cheapest
-    weight, which give the same multiset of edge weights.
+    weight, which give the same multiset of edge weights. Its stats count
+    the sets walked and those that completed.
     """
     best: Dim | None = None
     total = min_count = mis_count = completions = 0
@@ -184,21 +172,21 @@ def _walk(g: Graph) -> tuple[CountResult, SolveStats]:
             min_count += ties
     stats = SolveStats("mis", mis_count=mis_count, completions=completions)
     if best is None:
-        return CountResult(0, None, 0), stats
-    return CountResult(total, best.weight, min_count, best), stats
+        return CountResult(0, None, 0, stats=stats)
+    return CountResult(total, best.weight, min_count, best, stats)
 
 
 def solve_mis(g: Graph) -> SolveOutcome:
     """Minimum-weight DIM of a preprocessed graph via MIS enumeration."""
-    res, stats = _walk(g)
+    res = _walk(g)
     if res.witness is not None and not validate_dim(g, res.witness.edge_ids):
         raise ContractViolation("solver produced an edge set that fails validation")
-    return SolveOutcome(dim=res.witness, stats=stats)
+    return SolveOutcome(dim=res.witness, stats=res.stats)
 
 
 def count_dims(g: Graph) -> CountResult:
     """Count all DIMs of a preprocessed graph and the multiplicity at the
-    minimum weight.
+    minimum weight; stats is the walk's record, as solve_mis returns it.
 
     Requires a graph without isolated edges (preprocessing guarantees it);
     with one, a DIM's white side would sit inside two maximal independent
@@ -209,4 +197,4 @@ def count_dims(g: Graph) -> CountResult:
             raise ValueError(
                 f"graph has an isolated edge {u}-{v}; preprocess before counting"
             )
-    return _walk(g)[0]
+    return _walk(g)

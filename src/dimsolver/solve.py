@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .coloring import ContractViolation
-from .domset import SolveOutcome, SolveStats, solve_domset
-from .graph import Graph, preprocess, validate_dim
-from .mis import CountResult, count_dims, solve_mis
+from .domset import solve_domset
+from .graph import (
+    ContractViolation, CountResult, Graph, SolveOutcome, SolveStats, preprocess, validate_dim,
+)
+from .mis import count_dims, solve_mis
 from .oracle import brute_solve
 from .trace import DotTracer
 
@@ -39,6 +40,8 @@ def solve_instance(
     Isolated vertices and isolated edges are split off first; the chosen
     engine runs on the remainder and forced edges are merged back in, so
     the returned edge ids index g.edges; stats is the engine's own record.
+    observer and tracer are solve_domset's, so "mis" and "brute", which
+    have no roots or branches, reject them with ValueError.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -46,8 +49,9 @@ def solve_instance(
     residual = pre.residual
     if algo in ("auto", "domset"):
         outcome = solve_domset(residual, observer=observer, tracer=tracer)
-    elif tracer is not None:
-        raise ValueError("branch tracing is only available with the domset algorithm")
+    elif tracer is not None or observer is not None:
+        what = "branch tracing" if tracer is not None else "a root observer"
+        raise ValueError(f"{what} is only available with the domset algorithm")
     elif algo == "mis":
         outcome = solve_mis(residual)
     else:
@@ -62,10 +66,11 @@ def solve_instance(
 
 def count_instance(g: Graph) -> CountResult:
     """Count the DIMs of g; the minimum weight is that of the counter's
-    witness DIM on g, forced isolated edges included."""
+    witness DIM on g, forced isolated edges included, and stats is the
+    count walk's record."""
     pre = preprocess(g)
     res = count_dims(pre.residual)
     if res.witness is None:
         return res
     dim = pre.original_dim(res.witness)
-    return CountResult(res.total, dim.weight, res.min_count, dim)
+    return CountResult(res.total, dim.weight, res.min_count, dim, res.stats)

@@ -19,6 +19,7 @@ from dimsolver import (
     brute_mis,
     brute_solve,
     count_dims,
+    count_instance,
     enumerate_mis,
     find_dominating_set,
     gen_instance,
@@ -95,6 +96,25 @@ def test_solvers_match_oracle_on_decimal_gadget_unions():
         for algo in ("auto", "mis"):
             assert solve_instance(g, algo=algo).dim.weight == want, (i, algo)
     _report("decimal oracle equivalence", "600 gadget unions, weights bit-equal")
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 6: exact decimal weights"
+)
+def test_near_tie_across_forced_edges_counts_like_the_oracle():
+    """Two residual DIMs sum to 0.8999999999999999 and 0.9, and both
+    totals round to 5.9 once the forced edges are added, so the oracle
+    counts two at the minimum. The counter compares the residual sums and
+    counts one."""
+    g = graph(
+        10,
+        [(0, 1, 0.9), (0, 5, 0.7), (1, 2, 0.4), (2, 3, 0.2), (3, 4, 0.7), (4, 5, 0.5),
+         (6, 7, 1.4), (8, 9, 3.6)],
+    )
+    want = brute_solve(g)
+    res = count_instance(g)
+    assert (res.total, res.min_weight) == (want.total, want.min_weight)
+    assert res.min_count == want.min_count == 2
 
 def test_golden_instances():
     """Hand-checked instances pin both solvers and the counter."""

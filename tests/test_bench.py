@@ -48,8 +48,9 @@ def test_rows_sorted_by_name_and_bounds_hold(tmp_path):
     assert names == sorted(names) and len(names) == 14
     for row in report.rows:
         if row.name.startswith("star"):
-            assert row.d_size == 1 and row.roots <= 2
-        assert row.mis_count <= 3 ** ((row.n + 2) // 3)
+            stats = row.domset.stats
+            assert stats.dominating_set_size == 1 and stats.roots_explored <= 2
+        assert row.mis.stats.mis_count <= 3 ** ((row.n + 2) // 3)
         assert row.domset_seconds >= 0 and row.mis_seconds >= 0
 
 
@@ -63,7 +64,7 @@ def test_non_dim_files_ignored(tmp_path):
 def test_nodim_instances_render_in_report(tmp_path):
     write_corpus(tmp_path, [("c4.dim", "cycle", 4, 0)])
     report = run_bench(tmp_path)
-    assert report.rows[0].weight is None
+    assert report.rows[0].domset.dim is None
     assert "NODIM" in report.to_tsv()
 
 
@@ -73,8 +74,29 @@ def test_weight_column_includes_forced_isolated_edges(tmp_path):
     (tmp_path / "forced.dim").write_text(text)
     report = run_bench(tmp_path)
     assert report.violations == ()
-    assert report.rows[0].weight == solve_instance(parse_graph(text)).dim.weight == 6.0
+    assert report.rows[0].domset.dim.weight == solve_instance(parse_graph(text)).dim.weight == 6.0
     assert report.to_tsv().splitlines()[1].split("\t")[7] == "6"
+
+
+# columns 1-8 of the report on a fixed corpus; the timing columns vary
+PINNED_TSV = """\
+name\tn\tm\td\troots\tleaves\tmu\tweight
+c4.dim\t4\t4\t2\t0\t0\t2\tNODIM
+forced.dim\t5\t3\t1\t1\t1\t2\t6
+p4.dim\t4\t3\t2\t1\t1\t3\t7
+p5.dim\t5\t4\t2\t1\t1\t4\t12
+p6.dim\t6\t5\t3\t2\t2\t5\t12
+"""
+
+
+def test_report_columns_are_pinned(tmp_path):
+    write_corpus(tmp_path, [(f"p{n}.dim", "path", n, 0) for n in (4, 5, 6)])
+    (tmp_path / "c4.dim").write_text(serialize_graph(gen_instance("cycle", 4)))
+    (tmp_path / "forced.dim").write_text("p dim 5 3\ne 1 2 5\ne 3 4 1\ne 4 5 2\n")
+    report = run_bench(tmp_path)
+    assert report.violations == ()
+    lines = report.to_tsv().splitlines()
+    assert "".join("\t".join(line.split("\t")[:8]) + "\n" for line in lines) == PINNED_TSV
 
 
 def test_malformed_file_stops_the_run_and_is_named(tmp_path, capsys):
@@ -121,7 +143,7 @@ def test_disagreeing_engines_are_one_violation(tmp_path, monkeypatch):
     monkeypatch.setattr(dimsolver.solve, "solve_mis", heaviest)
     report = run_bench(tmp_path)
     assert report.violations == ("c6.dim: solvers disagree, domset=5.0 mis=9.0",)
-    assert [r.weight for r in report.rows] == [5.0]
+    assert [r.domset.dim.weight for r in report.rows] == [5.0]
 
 
 def test_violations_render_in_tsv(tmp_path):

@@ -41,6 +41,12 @@ def test_construction_rejects_bad_edges():
     with pytest.raises(ValueError):
         # every weight is finite, their total is not
         graph(7, [(i, i + 1, 1e308) for i in range(6)])
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Graph(-1, ())
+    # weight text follows the file format: ASCII digits, no underscores
+    for text in ("1_5", "\u0661\u0665"):
+        with pytest.raises(GraphFormatError, match=f"invalid weight {text!r}"):
+            Graph(2, ((0, 1, text),))
 
 
 def test_parse_roundtrip_golden():

@@ -149,6 +149,19 @@ def test_tracing_with_non_branching_algorithms_rejected():
             solve_instance(P4_527, algo=algo, tracer=DotTracer())
 
 
+def test_root_observer_with_non_branching_algorithms_rejected():
+    calls = []
+    for algo in ("mis", "brute"):
+        with pytest.raises(ValueError, match="root observer"):
+            solve_instance(P4_527, algo=algo, observer=lambda *args: calls.append(args))
+    assert calls == []
+
+
+def test_count_record_is_the_mis_engine_record():
+    for g in random_corpus(60, seed=5):
+        assert count_instance(g).stats == solve_instance(g, "mis").stats
+
+
 def test_auto_with_tracer_falls_back_to_domset():
     from dimsolver import DotTracer
 
