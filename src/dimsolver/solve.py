@@ -12,6 +12,13 @@ solve_instance returns the SolveOutcome the engine returned, with the DIM
 mapped back to the input graph's edge ids. Its stats.engine names the
 engine that ran; "brute" runs the oracle, which counts nothing, so its
 record holds the engine name alone.
+
+count_instance uses both routes. The search decides existence first, so
+a graph without a DIM never reaches the walk, which on such a graph
+would visit every maximal independent set and complete none. When a DIM
+exists the walk counts them, and its minimum must equal the search's bit
+for bit: both take the least math.fsum over the same DIMs, so any
+difference is a broken engine and raises ContractViolation.
 """
 
 from __future__ import annotations
@@ -66,11 +73,22 @@ def solve_instance(
 
 def count_instance(g: Graph) -> CountResult:
     """Count the DIMs of g; the minimum weight is that of the counter's
-    witness DIM on g, forced isolated edges included, and stats is the
-    count walk's record."""
+    witness DIM on g, forced isolated edges included.
+
+    The dominating set search runs first. When it finds no DIM the count
+    is 0 and stats is the search's record (engine "domset"); otherwise
+    the maximal independent set walk counts, stats is the walk's record
+    (engine "mis"), and a walk minimum that differs from the search's
+    raises ContractViolation.
+    """
     pre = preprocess(g)
+    found = solve_domset(pre.residual)
+    if found.dim is None:
+        return CountResult(0, None, 0, stats=found.stats)
     res = count_dims(pre.residual)
-    if res.witness is None:
-        return res
+    if res.min_weight != found.dim.weight:
+        raise ContractViolation(
+            f"count walk minimum {res.min_weight!r} != search minimum {found.dim.weight!r}"
+        )
     dim = pre.original_dim(res.witness)
     return CountResult(res.total, dim.weight, res.min_count, dim, res.stats)

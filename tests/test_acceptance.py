@@ -52,10 +52,17 @@ def _report(label, detail):
 
 
 def test_solvers_match_oracle_everywhere():
-    """Both exact solvers and the counter agree with brute force on 512
-    seeded random graphs (n 2..9, densities .2/.4/.6/.8, weights 1..10)."""
+    """Both exact solvers, the counter and the front door's count agree
+    with brute force on 512 seeded random graphs (n 2..9, densities
+    .2/.4/.6/.8, weights 1..10); the front door counts on the whole graph,
+    forced isolated edges included."""
     checked = 0
     for g in corpus():
+        whole = brute_solve(g)
+        counted = count_instance(g)
+        assert (counted.total, counted.min_weight, counted.min_count) == (
+            whole.total, whole.min_weight, whole.min_count
+        )
         res = preprocess(g).residual
         want = brute_solve(res)
         dom = solve_domset(res)
@@ -76,7 +83,8 @@ def test_solvers_match_oracle_everywhere():
     assert checked == CORPUS_SIZE
     _report(
         "oracle equivalence",
-        f"{checked} instances, existence + minimum weight + counts all exact",
+        f"{checked} instances, existence + minimum weight + counts all exact,"
+        " front door included",
     )
 
 

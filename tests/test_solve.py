@@ -1,16 +1,24 @@
 """Engine dispatch and end-to-end orchestration over raw input graphs."""
 
+import io
 import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dimsolver.cli
 from dimsolver import (
+    ContractViolation,
+    Dim,
     Graph,
+    SolveOutcome,
     SolveStats,
     brute_solve,
+    count_dims,
     count_instance,
+    gen_instance,
+    preprocess,
     solve_instance,
     validate_dim,
 )
@@ -157,9 +165,49 @@ def test_root_observer_with_non_branching_algorithms_rejected():
     assert calls == []
 
 
-def test_count_record_is_the_mis_engine_record():
+def test_count_record_is_the_deciding_engine_record():
+    # the search's record when it rules a DIM out, else the walk's
     for g in random_corpus(60, seed=5):
-        assert count_instance(g).stats == solve_instance(g, "mis").stats
+        res = count_instance(g)
+        algo = "domset" if res.total == 0 else "mis"
+        assert res.stats == solve_instance(g, algo).stats, algo
+
+
+def test_dim_free_cycle_counts_to_zero_without_the_walk(default_recursion_limit):
+    # 3001 is not a multiple of 3; the walk would visit every one of the
+    # cycle's maximal independent sets, a number exponential in n
+    g = cycle([float(i % 7 + 1) for i in range(3001)])
+    t0 = time.perf_counter()
+    res = count_instance(g)
+    elapsed = time.perf_counter() - t0
+    assert (res.total, res.min_weight, res.min_count) == (0, None, 0)
+    assert res.stats.engine == "domset"
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_dim_free_random_graph_counts_like_the_walk():
+    g = gen_instance("random", 60, p=0.3)
+    res = count_instance(g)
+    assert (res.total, res.min_weight, res.min_count) == (0, None, 0)
+    assert res == count_dims(preprocess(g).residual)
+
+
+def test_count_walk_and_search_must_agree(monkeypatch, capsys):
+    real = dimsolver.solve.solve_domset
+
+    def heavier(g, **kwargs):
+        out = real(g, **kwargs)
+        return SolveOutcome(Dim(out.dim.edge_ids, out.dim.weight + 1.0), out.stats)
+
+    monkeypatch.setattr(dimsolver.solve, "solve_domset", heavier)
+    with pytest.raises(ContractViolation, match=r"count walk minimum 2\.0 != search minimum 3\.0"):
+        count_instance(P4_527)
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p dim 4 3\ne 1 2 5\ne 2 3 2\ne 3 4 7\n"))
+    assert dimsolver.cli.main(["count"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: ") and out.err.count("\n") == 1
 
 
 def test_auto_with_tracer_falls_back_to_domset():
