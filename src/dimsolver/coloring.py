@@ -203,7 +203,7 @@ class Coloring:
         """The black vertices without a pair, in increasing order."""
         state, pair = self.state, self.pair
         return tuple(
-            v for v in range(self.graph.n) if state[v] == BLACK and pair[v] == NO_PAIR
+            [v for v in range(self.graph.n) if state[v] == BLACK and pair[v] == NO_PAIR]
         )
 
     def is_total(self) -> bool:

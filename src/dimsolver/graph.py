@@ -43,12 +43,18 @@ def _finite_total(edges) -> bool:
 
 
 def _index(n: int, edges) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """adjacency[v]: the (neighbor, edge id) pairs of v in edge order."""
+    """adjacency[v]: the (neighbor, edge id) pairs of v in edge order.
+
+    Here and on every other per-instance path, tuples are built from lists,
+    never from a generator or map: CPython 3.10/3.11 takes such a tuple from
+    its 10-slot free list and resizes it, so each call would move a tuple
+    from that free list to another one, and over a run the free lists of
+    small sizes would fill to their caps."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (u, v, _) in enumerate(edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
-    return tuple(map(tuple, adj))
+    return tuple([tuple(nbrs) for nbrs in adj])
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class Graph:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         seen: dict[int, int | None] = {}
-        edges = tuple(_check_edge(self.n, u, v, w, seen) for u, v, w in self.edges)
+        edges = tuple([_check_edge(self.n, u, v, w, seen) for u, v, w in self.edges])
         if not _finite_total(edges):
             raise ValueError("total edge weight is not finite")
         object.__setattr__(self, "edges", edges)
@@ -346,7 +352,7 @@ def preprocess(g: Graph) -> PreprocessResult:
     # every neighbor of a kept vertex is kept, and edge ids keep their
     # order, so each remapped list is still in residual edge order
     res_adj = tuple(
-        tuple((fwd[u], res_eid[eid]) for u, eid in adj[old]) for old in kept
+        [tuple([(fwd[u], res_eid[eid]) for u, eid in adj[old]]) for old in kept]
     )
     return PreprocessResult(
         original=g,

@@ -3,20 +3,26 @@
 The white side of any DIM is an independent set, and on graphs without
 isolated edges its non-matched vertices lie in exactly one maximal
 independent set. So: enumerate every MIS I and color V minus I black;
-induced_coloring reduces each I once. Blacks pair up among themselves; a
-black with two black neighbors kills the MIS. A member of I can only ever
-turn black if it has degree exactly 1 and its sole neighbor is a single
-black, so exactly those members are the pair options of the singles;
-everything else in I is white. Each single must pick one of its options,
-choices are independent, and picking cheapest per single is optimal.
-One walk over the sets does both jobs: solve_mis reads the cheapest DIM
-off it and count_dims the product counts, which hold every DIM exactly
-once. Every weight is summed by Graph.dim, correctly rounded and so the
-same in any order.
+the walk reduces each I once, on bit masks. Blacks pair up among
+themselves, and the first black whose neighbors in the black mask hold
+two vertices kills the MIS; one neighbor there is its pair, none makes it
+a single. A member of I can only ever turn black if it has degree exactly
+1 and its sole neighbor is a single black, so exactly those members are
+the pair options of the singles, computed once per graph; everything else
+in I is white. Each single must pick one of its options, choices are
+independent, and picking cheapest per single is optimal. One walk over
+the sets does both jobs: solve_mis reads the cheapest DIM off it and
+count_dims the product counts, which hold every DIM exactly once. Edge
+ids are looked up only for the sets that complete, and every weight is
+summed by Graph.dim, correctly rounded and so the same in any order.
+induced_coloring is the same reduction for one given set; no Coloring is
+built here, that class serves the dominating set engine.
 
-enumerate_mis (Tsukiyama et al. 1977) tests each child with bit operations
-over its parent's members, and raises ContractViolation rather than yield
-more than the 3^ceil(n/3) maximal independent sets of Moon and Moser.
+The walk takes each MIS as the mask enumerate_mis's generator holds
+(Tsukiyama et al. 1977), which tests each child with bit operations over
+its parent's members and raises ContractViolation rather than yield more
+than the 3^ceil(n/3) maximal independent sets of Moon and Moser;
+enumerate_mis is the frozenset view of the same sets in the same order.
 """
 
 from __future__ import annotations
@@ -25,14 +31,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .coloring import NO_PAIR, Coloring
 from .graph import (
     ContractViolation, CountResult, Dim, Graph, SolveOutcome, SolveStats, validate_dim,
 )
 
 
 def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
-    """Yield every maximal independent set exactly once.
+    """Yield every maximal independent set exactly once, as a frozenset;
+    the sets and their order are those of _maximal_sets."""
+    for white in _maximal_sets(g.n, _adjacency_masks(g)):
+        yield frozenset(_members(white))
+
+
+def _maximal_sets(n: int, adj: list[int]) -> Iterator[int]:
+    """Yield every maximal independent set of the graph whose vertex v has
+    the neighbor mask adj[v], as a bit mask, exactly once.
 
     Vertex-by-vertex extension: a MIS of the first k vertices either
     absorbs vertex k, survives unchanged, or spawns a repaired set that is
@@ -41,8 +54,6 @@ def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
     Iterative stack, O(n * |set|) integer operations per set, deterministic order.
     Raises ContractViolation before yielding more than 3^ceil(n/3) sets.
     """
-    n = g.n
-    adj = [sum(1 << u for u, _ in nbrs) for nbrs in g.adjacency]
     cap = 3 ** ((n + 2) // 3)
     found = 0
     stack: list[tuple[int, int]] = [(0, 0)]
@@ -59,12 +70,21 @@ def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
             raise ContractViolation(
                 f"enumerated {found} maximal independent sets > 3^ceil(n/3) = {cap}"
             )
-        members = []
-        while cur:
-            low = cur & -cur
-            members.append(low.bit_length() - 1)
-            cur ^= low
-        yield frozenset(members)
+        yield cur
+
+
+def _adjacency_masks(g: Graph) -> list[int]:
+    return [sum(1 << u for u, _ in nbrs) for nbrs in g.adjacency]
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a mask, in increasing order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 def _is_child(adj: list[int], cur: int, k: int) -> bool:
@@ -90,6 +110,44 @@ def _is_child(adj: list[int], cur: int, k: int) -> bool:
     return free == 0
 
 
+def _singles(adj: list[int], black: int) -> list[int] | None:
+    """The black vertices without a black neighbor, in increasing order, or
+    None at the first black vertex with two black neighbors."""
+    singles = []
+    rest = black
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        near = adj[v] & black
+        if not near:
+            singles.append(v)
+        elif near & (near - 1):
+            return None
+    return singles
+
+
+def _matched(g: Graph, adj: list[int], black: int) -> list[int]:
+    """The ids of the edges between paired blacks, by lower endpoint, once
+    _singles has passed the black mask."""
+    ids = []
+    for v in _members(black):
+        u = (adj[v] & black).bit_length() - 1
+        if u > v:
+            ids.append(g.edge_id(v, u))
+    return ids
+
+
+def _pair_options(g: Graph) -> list[tuple[tuple[float, int, int], ...]]:
+    """Each vertex's neighbors of degree 1 as (weight, vertex, edge id),
+    cheapest first: the partners it may take when it is a single."""
+    adjacency = g.adjacency
+    return [
+        tuple(sorted([(g.edges[eid][2], u, eid) for u, eid in nbrs if len(adjacency[u]) == 1]))
+        for nbrs in adjacency
+    ]
+
+
 @dataclass(frozen=True)
 class InducedColoring:
     """The reduction a MIS forces, before pair choices for the singles.
@@ -108,40 +166,28 @@ class InducedColoring:
 
 
 def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
-    """Reduce one independent set.
+    """Reduce one independent set, as the walk reduces each MIS.
 
     A set that is not independent is never reported valid. Independence
     is checked only once the black side has passed, so such a set raises
     ContractViolation when every black vertex has at most one black
-    neighbor, and returns valid=False otherwise. Checking first would scan
-    the members of every invalid set, and those make up most of a count.
+    neighbor, and returns valid=False otherwise.
     """
-    col = Coloring(g)
-    members = set(independent)
-    for v in range(g.n):
-        if v not in members and not col.set_black(v):
-            return InducedColoring(False, (), (), {})
-    for v in members:
-        if col.black_nbrs[v] != g.degree(v):
+    adj = _adjacency_masks(g)
+    white = 0
+    for v in independent:
+        white |= 1 << v
+    black = ((1 << g.n) - 1) & ~white
+    singles = _singles(adj, black)
+    if singles is None:
+        return InducedColoring(False, (), (), {})
+    for v in _members(white):
+        if adj[v] & white:
             raise ContractViolation(f"vertex {v} has a neighbor inside the independent set")
-
-    # a single has no black neighbor, so its neighbors are members; those
-    # of degree 1 are the only members that may still turn black
-    singles = tuple(
-        v for v in range(g.n) if v not in members and col.pair[v] == NO_PAIR
+    options = _pair_options(g)
+    return InducedColoring(
+        True, tuple(_matched(g, adj, black)), tuple(singles), {s: options[s] for s in singles}
     )
-    options = {
-        s: tuple(
-            sorted(
-                (g.edges[eid][2], u, eid)
-                for u, eid in g.adjacency[s]
-                if g.degree(u) == 1
-            )
-        )
-        for s in singles
-    }
-    matched = tuple(g.edge_id(v, col.pair[v]) for v in range(g.n) if col.pair[v] > v)
-    return InducedColoring(True, matched, singles, options)
 
 
 def _walk(g: Graph) -> CountResult:
@@ -153,17 +199,23 @@ def _walk(g: Graph) -> CountResult:
     weight, which give the same multiset of edge weights. Its stats count
     the sets walked and those that completed.
     """
+    adj = _adjacency_masks(g)
+    everyone = (1 << g.n) - 1
+    pair_options = _pair_options(g)
     best: Dim | None = None
     total = min_count = mis_count = completions = 0
-    for mis in enumerate_mis(g):
+    for white in _maximal_sets(g.n, adj):
         mis_count += 1
-        ic = induced_coloring(g, mis)
-        options = [ic.pair_options[s] for s in ic.singles]
-        if not ic.valid or not all(options):
+        black = everyone & ~white
+        singles = _singles(adj, black)
+        if singles is None:
+            continue
+        options = [pair_options[s] for s in singles]
+        if not all(options):
             continue
         completions += 1
         total += math.prod(map(len, options))
-        dim = g.dim(ic.matched + tuple(opts[0][2] for opts in options))
+        dim = g.dim(_matched(g, adj, black) + [opts[0][2] for opts in options])
         ties = math.prod(sum(1 for w, _, _ in opts if w == opts[0][0]) for opts in options)
         # strict: ties keep the earliest MIS
         if best is None or dim.weight < best.weight:

@@ -7,11 +7,14 @@ constructions, not on the code under test.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from dimsolver import Graph
+from dimsolver import (
+    NO_PAIR, Coloring, ContractViolation, CountResult, Graph, InducedColoring, SolveStats,
+)
 
 
 def graph(n: int, edges: Sequence[tuple[int, int, float]]) -> Graph:
@@ -91,6 +94,52 @@ def reference_mis(g: Graph) -> Iterator[frozenset[int]]:
                     stack.append((k + 1, cand))
             k += 1
         yield frozenset(v for v in range(g.n) if (cur >> v) & 1)
+
+
+def reference_induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
+    """The reduction induced_coloring must return, computed with a
+    Coloring: every non-member set black in increasing order, pairs and
+    singles read off the coloring, options from each single's neighbors."""
+    col = Coloring(g)
+    members = set(independent)
+    for v in range(g.n):
+        if v not in members and not col.set_black(v):
+            return InducedColoring(False, (), (), {})
+    for v in members:
+        if col.black_nbrs[v] != g.degree(v):
+            raise ContractViolation(f"vertex {v} has a neighbor inside the independent set")
+    singles = tuple(v for v in range(g.n) if v not in members and col.pair[v] == NO_PAIR)
+    options = {
+        s: tuple(sorted((g.edges[eid][2], u, eid) for u, eid in g.adjacency[s] if g.degree(u) == 1))
+        for s in singles
+    }
+    matched = tuple(g.edge_id(v, col.pair[v]) for v in range(g.n) if col.pair[v] > v)
+    return InducedColoring(True, matched, singles, options)
+
+
+def reference_count(g: Graph) -> CountResult:
+    """What count_dims must return, witness and stats included: the walk
+    over reference_mis with reference_induced_coloring per set."""
+    best = None
+    total = min_count = mis_count = completions = 0
+    for mis in reference_mis(g):
+        mis_count += 1
+        ic = reference_induced_coloring(g, mis)
+        options = [ic.pair_options[s] for s in ic.singles]
+        if not ic.valid or not all(options):
+            continue
+        completions += 1
+        total += math.prod(len(opts) for opts in options)
+        dim = g.dim([*ic.matched, *(opts[0][2] for opts in options)])
+        ties = math.prod(sum(1 for w, _, _ in opts if w == opts[0][0]) for opts in options)
+        if best is None or dim.weight < best.weight:
+            best, min_count = dim, ties
+        elif dim.weight == best.weight:
+            min_count += ties
+    stats = SolveStats("mis", mis_count=mis_count, completions=completions)
+    if best is None:
+        return CountResult(0, None, 0, stats=stats)
+    return CountResult(total, best.weight, min_count, best, stats)
 
 
 def path_dim_weight(weights: Sequence[float]) -> float | None:

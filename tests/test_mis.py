@@ -14,6 +14,7 @@ from dimsolver import (
     brute_solve,
     count_dims,
     enumerate_mis,
+    gen_instance,
     induced_coloring,
     preprocess,
     solve_domset,
@@ -32,6 +33,8 @@ from support import (
     path,
     random_corpus,
     random_graph,
+    reference_count,
+    reference_induced_coloring,
     reference_mis,
 )
 
@@ -69,6 +72,26 @@ def test_enumeration_order_matches_the_two_loop_reference():
     dense = [random_graph(rng, n, 0.35) for n in (30, 36, 40, 44)]
     for g in [*random_corpus(512, seed=53, n_lo=2, n_hi=14), *dense]:
         assert list(enumerate_mis(g)) == list(reference_mis(g))
+
+
+def test_mask_reduction_matches_the_coloring_reference():
+    # the walk reduces each set on bit masks; the reference colors the
+    # complement black vertex by vertex with a Coloring. Every dense
+    # random graph lacks a DIM, every planted one has one.
+    rng = random.Random(59)
+    dense = [random_graph(rng, n, 0.35) for n in (30, 36, 40, 44)]
+    planted = [
+        gen_instance("random_dim", n, seed=n, weights="uniform:1:9", p=0.35)
+        for n in (30, 36, 40, 44)
+    ]
+    for g in [*random_corpus(512, seed=53), *dense, *planted]:
+        for mis in enumerate_mis(g):
+            assert induced_coloring(g, mis) == reference_induced_coloring(g, mis)
+        res = preprocess(g).residual
+        got, want = count_dims(res), reference_count(res)
+        assert got == want
+        assert got.witness == want.witness
+        assert got.stats == want.stats
 
 
 def test_enumeration_scales_without_recursion():

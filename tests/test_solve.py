@@ -1,8 +1,11 @@
 """Engine dispatch and end-to-end orchestration over raw input graphs."""
 
 import io
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +211,48 @@ def test_count_walk_and_search_must_agree(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("internal error: ") and out.err.count("\n") == 1
+
+
+# Twelve sweeps of the per-instance path over small graphs; prints how many
+# memory blocks the last ten left allocated after the first two warmed up.
+_SWEEPS = """
+import gc, sys
+from dimsolver import count_instance, parse_graph, serialize_graph, solve_instance
+from support import random_corpus
+
+texts = [serialize_graph(g) for g in random_corpus(200, seed=5, n_lo=8, n_hi=16)]
+
+def sweep():
+    for text in texts:
+        g = parse_graph(text)
+        solve_instance(g)
+        count_instance(g)
+
+sweep()
+sweep()
+gc.collect()
+before = sys.getallocatedblocks()
+for _ in range(10):
+    sweep()
+print(sys.getallocatedblocks() - before)
+"""
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's block count")
+def test_repeated_instances_do_not_fill_the_tuple_free_lists():
+    # a tuple built from a generator or map moves from CPython's 10-slot
+    # free list to the one of its final size, so a run would fill the
+    # small free lists; a fresh interpreter, since earlier tests may
+    # already have filled them in this one
+    src = str(Path(dimsolver.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SWEEPS], capture_output=True, text=True, env=env, check=True
+    )
+    grown = int(out.stdout)
+    assert grown < 2000, f"{grown} more blocks after ten sweeps"
 
 
 def test_auto_with_tracer_falls_back_to_domset():
