@@ -8,7 +8,6 @@ This package finds a minimum-weight DIM, counts all DIMs, and ships the
 small brute-force oracle the fast solvers are tested against.
 """
 
-from .bench import BenchReport, BenchRow, run_bench
 from .coloring import (
     BLACK,
     NO_PAIR,
@@ -40,10 +39,8 @@ from .graph import (
     validate_dim,
 )
 from .mis import (
-    InducedColoring,
     count_dims,
     enumerate_mis,
-    induced_coloring,
     solve_mis,
 )
 from .oracle import (
@@ -65,8 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "BLACK",
-    "BenchReport",
-    "BenchRow",
     "Coloring",
     "ContractViolation",
     "CountResult",
@@ -75,7 +70,6 @@ __all__ = [
     "FAMILIES",
     "Graph",
     "GraphFormatError",
-    "InducedColoring",
     "InstanceTooLargeError",
     "MAX_ORACLE_N",
     "NO_PAIR",
@@ -96,10 +90,8 @@ __all__ = [
     "find_dominating_set",
     "format_weight",
     "gen_instance",
-    "induced_coloring",
     "parse_graph",
     "preprocess",
-    "run_bench",
     "serialize_graph",
     "solve_domset",
     "solve_instance",

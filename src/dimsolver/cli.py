@@ -1,12 +1,11 @@
 """Command line front end.
 
 Subcommands: solve (minimum-weight DIM or NODIM), count (number of DIMs
-plus multiplicity at the minimum), gen (deterministic instance
-generator), bench (corpus runner with bound checks).
+plus multiplicity at the minimum), gen (deterministic instance generator).
 
-Exit codes: 0 a DIM was found (or the corpus passed), 1 no DIM exists,
-2 bad input or bad flags, 3 a solver broke one of its own guarantees,
-4 the run ran out of memory or of recursion depth.
+Exit codes: 0 a DIM was found, 1 no DIM exists, 2 bad input or bad flags,
+3 a solver broke one of its own guarantees, 4 the run ran out of memory
+or of recursion depth.
 Stdout is byte-stable for a fixed (input, flags, seed); diagnostics and
 the `auto: selected <engine>` banner go to stderr.
 """
@@ -18,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bench import run_bench
 from .generate import FAMILIES, gen_instance
 from .graph import ContractViolation, format_weight, parse_graph, serialize_graph
 from .solve import ALGORITHMS, count_instance, solve_instance
@@ -53,10 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--weights", default="unit", help="'unit' or 'uniform:lo:hi'")
     gen.add_argument("--p", type=float, default=0.5, help="edge density for random families")
     gen.add_argument("--output", default="-", help="graph file, - for stdout")
-
-    bench = sub.add_parser("bench", help="run both solvers over a corpus")
-    bench.add_argument("--corpus", required=True, help="directory of *.dim files")
-    bench.add_argument("--report", default="-", help="TSV report file, - for stdout")
     return parser
 
 
@@ -121,21 +115,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    report = run_bench(args.corpus)
-    _write(args.report, report.to_tsv())
-    if report.violations:
-        for v in report.violations:
-            print(f"bound violation: {v}", file=sys.stderr)
-        return 3
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "count": _cmd_count,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 

@@ -15,8 +15,7 @@ the sets does both jobs: solve_mis reads the cheapest DIM off it and
 count_dims the product counts, which hold every DIM exactly once. Edge
 ids are looked up only for the sets that complete, and every weight is
 summed by Graph.dim, correctly rounded and so the same in any order.
-induced_coloring is the same reduction for one given set; no Coloring is
-built here, that class serves the dominating set engine.
+No Coloring is built here; that class serves the dominating set engine.
 
 The walk takes each MIS as the mask enumerate_mis's generator holds
 (Tsukiyama et al. 1977), which tests each child with bit operations over
@@ -28,8 +27,7 @@ enumerate_mis is the frozenset view of the same sets in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graph import (
     ContractViolation, CountResult, Dim, Graph, SolveOutcome, SolveStats, validate_dim,
@@ -146,48 +144,6 @@ def _pair_options(g: Graph) -> list[tuple[tuple[float, int, int], ...]]:
         tuple(sorted([(g.edges[eid][2], u, eid) for u, eid in nbrs if len(adjacency[u]) == 1]))
         for nbrs in adjacency
     ]
-
-
-@dataclass(frozen=True)
-class InducedColoring:
-    """The reduction a MIS forces, before pair choices for the singles.
-
-    valid is False when some black vertex got two black neighbors. matched
-    holds the ids of the edges already matched between paired blacks, by
-    lower endpoint. Each single's pair_options lists its candidate
-    partners, the members of degree 1 next to it, as (weight, vertex,
-    edge id), cheapest first.
-    """
-
-    valid: bool
-    matched: tuple[int, ...]
-    singles: tuple[int, ...]
-    pair_options: dict[int, tuple[tuple[float, int, int], ...]]
-
-
-def induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
-    """Reduce one independent set, as the walk reduces each MIS.
-
-    A set that is not independent is never reported valid. Independence
-    is checked only once the black side has passed, so such a set raises
-    ContractViolation when every black vertex has at most one black
-    neighbor, and returns valid=False otherwise.
-    """
-    adj = _adjacency_masks(g)
-    white = 0
-    for v in independent:
-        white |= 1 << v
-    black = ((1 << g.n) - 1) & ~white
-    singles = _singles(adj, black)
-    if singles is None:
-        return InducedColoring(False, (), (), {})
-    for v in _members(white):
-        if adj[v] & white:
-            raise ContractViolation(f"vertex {v} has a neighbor inside the independent set")
-    options = _pair_options(g)
-    return InducedColoring(
-        True, tuple(_matched(g, adj, black)), tuple(singles), {s: options[s] for s in singles}
-    )
 
 
 def _walk(g: Graph) -> CountResult:

@@ -10,11 +10,10 @@ import itertools
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from dimsolver import (
-    NO_PAIR, Coloring, ContractViolation, CountResult, Graph, InducedColoring, SolveStats,
-)
+from dimsolver import NO_PAIR, Coloring, ContractViolation, CountResult, Graph, SolveStats
 
 
 def graph(n: int, edges: Sequence[tuple[int, int, float]]) -> Graph:
@@ -96,8 +95,25 @@ def reference_mis(g: Graph) -> Iterator[frozenset[int]]:
         yield frozenset(v for v in range(g.n) if (cur >> v) & 1)
 
 
+@dataclass(frozen=True)
+class InducedColoring:
+    """The reduction a MIS forces, before pair choices for the singles.
+
+    valid is False when some black vertex got two black neighbors. matched
+    holds the ids of the edges already matched between paired blacks, by
+    lower endpoint. Each single's pair_options lists its candidate
+    partners, the members of degree 1 next to it, as (weight, vertex,
+    edge id), cheapest first.
+    """
+
+    valid: bool
+    matched: tuple[int, ...]
+    singles: tuple[int, ...]
+    pair_options: dict[int, tuple[tuple[float, int, int], ...]]
+
+
 def reference_induced_coloring(g: Graph, independent: Iterable[int]) -> InducedColoring:
-    """The reduction induced_coloring must return, computed with a
+    """The reduction the count walk must make of one MIS, computed with a
     Coloring: every non-member set black in increasing order, pairs and
     singles read off the coloring, options from each single's neighbors."""
     col = Coloring(g)

@@ -10,7 +10,7 @@ import pytest
 
 import dimsolver
 import dimsolver.cli as cli
-from dimsolver import BenchReport, ContractViolation
+from dimsolver import ContractViolation
 
 P4_TEXT = "c four path\np dim 4 3\ne 1 2 5\ne 2 3 2\ne 3 4 7\n"
 C4_TEXT = "p dim 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n"
@@ -176,40 +176,12 @@ def test_gen_rejects_bad_family_via_argparse(capsys):
     assert info.value.code == 2
 
 
-def test_bench_writes_report(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for n in (4, 5, 6):
-        run(
-            ["gen", "--family", "path", "--n", str(n), "--seed", str(n),
-             "--weights", "uniform:1:9", "--output", str(corpus / f"p{n}.dim")]
-        )
-    capsys.readouterr()
-    report = tmp_path / "report.tsv"
-    code = run(["bench", "--corpus", str(corpus), "--report", str(report)])
-    assert code == 0
-    lines = report.read_text().splitlines()
-    assert lines[0].startswith("name\tn\tm")
-    assert len(lines) == 4
-
-
-def test_bench_missing_corpus_is_input_error(tmp_path, capsys):
-    code = run(["bench", "--corpus", str(tmp_path / "nope")])
-    assert code == 2
-
-
-def test_bench_violations_exit_three(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli, "run_bench", lambda c: BenchReport((), ("fake.dim: solvers disagree",))
-    )
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    report = tmp_path / "r.tsv"
-    code = run(["bench", "--corpus", str(corpus), "--report", str(report)])
-    out = capsys.readouterr()
-    assert code == 3
-    assert "violation" in out.err
-    assert report.exists()
+def test_bench_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["bench", "--corpus", "."])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "bench" in err
 
 
 @pytest.mark.parametrize("command, target", [("solve", "solve_instance"), ("count", "count_instance")])

@@ -15,12 +15,12 @@ from dimsolver import (
     count_dims,
     enumerate_mis,
     gen_instance,
-    induced_coloring,
     preprocess,
     solve_domset,
     solve_mis,
     validate_dim,
 )
+from dimsolver.mis import _adjacency_masks, _matched, _pair_options, _singles
 from support import (
     C4_UNIT,
     C5_UNIT,
@@ -28,6 +28,8 @@ from support import (
     K3_123,
     P4_527,
     STAR_419,
+    InducedColoring,
+    complete,
     graph,
     is_bipartite,
     path,
@@ -37,6 +39,21 @@ from support import (
     reference_induced_coloring,
     reference_mis,
 )
+
+
+def walk_reduction(g, independent):
+    """What the count walk makes of one MIS, from the helpers it calls:
+    _singles on the black complement, then _matched and the singles'
+    _pair_options."""
+    adj = _adjacency_masks(g)
+    black = ((1 << g.n) - 1) & ~sum(1 << v for v in independent)
+    singles = _singles(adj, black)
+    if singles is None:
+        return InducedColoring(False, (), (), {})
+    options = _pair_options(g)
+    return InducedColoring(
+        True, tuple(_matched(g, adj, black)), tuple(singles), {s: options[s] for s in singles}
+    )
 
 
 def test_enumerates_exactly_the_maximal_sets():
@@ -86,7 +103,7 @@ def test_mask_reduction_matches_the_coloring_reference():
     ]
     for g in [*random_corpus(512, seed=53), *dense, *planted]:
         for mis in enumerate_mis(g):
-            assert induced_coloring(g, mis) == reference_induced_coloring(g, mis)
+            assert walk_reduction(g, mis) == reference_induced_coloring(g, mis)
         res = preprocess(g).residual
         got, want = count_dims(res), reference_count(res)
         assert got == want
@@ -101,7 +118,7 @@ def test_enumeration_scales_without_recursion():
 
 
 def test_induced_coloring_star():
-    ic = induced_coloring(STAR_419, {1, 2, 3})
+    ic = walk_reduction(STAR_419, {1, 2, 3})
     assert ic.valid
     assert ic.singles == (0,) and ic.matched == ()
     assert ic.pair_options == {0: ((1.0, 2, 1), (4.0, 1, 0), (9.0, 3, 2))}
@@ -110,7 +127,7 @@ def test_induced_coloring_star():
 
 
 def test_induced_coloring_adjacent_blacks_pair_up():
-    ic = induced_coloring(P4_527, {0, 3})
+    ic = walk_reduction(P4_527, {0, 3})
     assert ic.valid and ic.singles == () and ic.pair_options == {}
     assert ic.matched == (1,)
     dim = solve_mis(P4_527).dim
@@ -119,34 +136,25 @@ def test_induced_coloring_adjacent_blacks_pair_up():
 
 def test_induced_coloring_dead_ends():
     # {1,3}: vertex 0 stays a single with no candidate, no completion
-    ic = induced_coloring(P4_527, {1, 3})
+    ic = walk_reduction(P4_527, {1, 3})
     assert ic.valid and ic.pair_options[0] == ()
     # {0}: 1-2 paired; fine
-    ic = induced_coloring(K3_123, {0})
+    ic = walk_reduction(K3_123, {0})
     assert ic.valid and ic.singles == () and ic.matched == (2,)
     assert solve_mis(K3_123).dim.edge_ids == frozenset({0})
-    # three mutually adjacent blacks are invalid
-    ic = induced_coloring(Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))), set())
+    # {3} in K4: the three other vertices are black and mutually adjacent
+    ic = walk_reduction(complete(4), {3})
     assert not ic.valid
     # only {0, 3} of P4's maximal independent sets completes
     out = solve_mis(P4_527)
     assert (out.stats.mis_count, out.stats.completions) == (3, 1)
 
 
-def test_induced_coloring_rejects_dependent_sets():
-    # a dependent set is never reported valid: it raises when the black
-    # side passes, and is invalid when the black side fails first
-    with pytest.raises(ContractViolation, match="inside the independent set"):
-        induced_coloring(P4_527, {0, 1})
-    g = Graph(5, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 3, 1.0), (3, 4, 1.0)))
-    assert not induced_coloring(g, {3, 4}).valid
-
-
 def test_high_degree_members_never_turn_black():
     # member 1 of the independent set touches two blacks; only the
     # degree-1 member 3 is a pair option
     g = graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    ic = induced_coloring(g, {1, 3})
+    ic = walk_reduction(g, {1, 3})
     assert ic.valid
     assert ic.pair_options == {0: (), 2: ((1.0, 3, 2),)}
 

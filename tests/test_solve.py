@@ -21,6 +21,7 @@ from dimsolver import (
     count_dims,
     count_instance,
     gen_instance,
+    parse_graph,
     preprocess,
     solve_instance,
     validate_dim,
@@ -145,6 +146,28 @@ def test_reports_which_algorithm_ran():
     assert r.stats.engine == "mis"
     r = solve_instance(P4_527, algo="brute")
     assert r.stats == SolveStats("brute")
+
+
+def test_engine_counters_are_pinned():
+    # the counters are machine-free, so a change to either engine's work
+    # shows here; the forced edge 1-2 is summed into the weight
+    pinned = [  # (graph, |D|, roots, leaves, sets walked, weight)
+        (gen_instance("cycle", 4), 2, 0, 0, 2, None),
+        (parse_graph("p dim 5 3\ne 1 2 5\ne 3 4 1\ne 4 5 2\n"), 1, 1, 1, 2, 6.0),
+        (gen_instance("path", 4, weights="uniform:1:9"), 2, 1, 1, 3, 7.0),
+        (gen_instance("path", 5, weights="uniform:1:9"), 2, 1, 1, 4, 12.0),
+        (gen_instance("path", 6, weights="uniform:1:9"), 3, 2, 2, 5, 12.0),
+    ]
+    for g, d, roots, leaves, mis_count, weight in pinned:
+        dom = solve_instance(g, "domset")
+        got = (
+            dom.stats.dominating_set_size,
+            dom.stats.roots_explored,
+            sum(dom.stats.branch_leaves_per_root),
+            solve_instance(g, "mis").stats.mis_count,
+            dom.dim.weight if dom.dim is not None else None,
+        )
+        assert got == (d, roots, leaves, mis_count, weight), g
 
 
 def test_unknown_algorithm_rejected():
