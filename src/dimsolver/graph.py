@@ -170,8 +170,9 @@ class CountResult:
     """Number of distinct DIMs, plus multiplicity at the minimum weight.
 
     witness is a DIM of that weight, None when there is none, and stats
-    is what the count walk counted; neither takes part in equality or
-    the repr.
+    is the record of the engine that decided the count: the count walk's,
+    or the dominating set search's when count_instance finds no DIM.
+    Neither takes part in equality or the repr.
     """
 
     total: int

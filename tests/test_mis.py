@@ -87,7 +87,16 @@ def test_enumeration_order_matches_the_two_loop_reference():
     # change what solve --algo mis prints on ties
     rng = random.Random(59)
     dense = [random_graph(rng, n, 0.35) for n in (30, 36, 40, 44)]
-    for g in [*random_corpus(512, seed=53, n_lo=2, n_hi=14), *dense]:
+    # both ways of computing A's neighbors: either side of and at each end
+    # of _TABLE_SIZES, a partial last run of 8 vertices and a full one, and
+    # masks past a machine word
+    lo, hi = dimsolver.mis._TABLE_SIZES.start, dimsolver.mis._TABLE_SIZES.stop
+    rng = random.Random(61)
+    near_lo = [random_graph(rng, n, 0.35) for n in (lo - 1, lo, lo + 1, 24)]
+    wide = random_graph(rng, 70, 0.6)
+    # a path through every 97th vertex, the rest isolated and so in every set
+    near_hi = [graph(n, [(v, v + 97, 1.0) for v in range(0, n - 97, 97)]) for n in (hi - 1, hi)]
+    for g in [*random_corpus(512, seed=53, n_lo=2, n_hi=14), *dense, *near_lo, wide, *near_hi]:
         assert list(enumerate_mis(g)) == list(reference_mis(g))
 
 
@@ -162,7 +171,7 @@ def test_high_degree_members_never_turn_black():
 def test_enumeration_raises_past_the_ceiling(monkeypatch):
     # with the canonical-parent test accepting every child, P6 would
     # yield 13 sets, duplicates included, > 3^ceil(6/3) = 9
-    monkeypatch.setattr(dimsolver.mis, "_is_child", lambda adj, cur, k: True)
+    monkeypatch.setattr(dimsolver.mis, "_is_child", lambda adj, tables, cur, k: True)
     with pytest.raises(ContractViolation, match=r"10 maximal independent sets > 3\^ceil\(n/3\) = 9"):
         list(enumerate_mis(path([1.0] * 5)))
 
