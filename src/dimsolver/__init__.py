@@ -14,10 +14,8 @@ from .coloring import (
     UNCOLORED,
     WHITE,
     Coloring,
-    PropagationResult,
 )
 from .domset import (
-    classify_part,
     classify_parts,
     find_dominating_set,
     solve_domset,
@@ -75,14 +73,12 @@ __all__ = [
     "NO_PAIR",
     "OracleResult",
     "PreprocessResult",
-    "PropagationResult",
     "SolveOutcome",
     "SolveStats",
     "UNCOLORED",
     "WHITE",
     "brute_mis",
     "brute_solve",
-    "classify_part",
     "classify_parts",
     "count_dims",
     "count_instance",

@@ -206,9 +206,6 @@ class Coloring:
             [v for v in range(self.graph.n) if state[v] == BLACK and pair[v] == NO_PAIR]
         )
 
-    def is_total(self) -> bool:
-        return UNCOLORED not in self.state
-
     def to_dim(self) -> Dim:
         """Extract the matched black edges of a total valid coloring."""
         state = self.state

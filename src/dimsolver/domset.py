@@ -98,38 +98,32 @@ def classify_part(
     part_of: dict[int, int],
 ) -> PartInfo:
     """Classify N_U(single); part_of maps uncolored vertices to their
-    single."""
+    single.
+
+    The induced edges form a star plus an independent set exactly when
+    they all meet at one vertex, that is when the top degree t inside the
+    part equals the number e of induced edges; the candidates are then
+    the members of degree t: every member of an independent part, both
+    ends of a lone edge, a star's center. Any other part is dead, and so
+    is an empty one, which has no top degree.
+    """
     g = col.graph
     members = tuple(sorted(members))
-    if not members:
-        return PartInfo(single, members, "dead", (), None)
     member_set = set(members)
-
-    induced: list[tuple[int, int]] = []
+    degrees: list[int] = []
     cross_edges: list[tuple[int, int, int]] = []
     for a in members:
+        d = 0
         for b, _ in g.adjacency[a]:
             if b in member_set:
-                if a < b:
-                    induced.append((a, b))
+                d += 1
             elif col.state[b] == UNCOLORED:
                 cross_edges.append((part_of[b], a, b))
-
-    if induced:
-        x, y = induced[0]
-        if all(a == x or b == x for a, b in induced):
-            center = x
-        elif all(a == y or b == y for a, b in induced):
-            center = y
-        else:
-            # edges without a common vertex: not a star plus independent set
-            return PartInfo(single, members, "dead", (), None)
-        if len(induced) >= 2:
-            candidates: tuple[int, ...] = (center,)
-        else:
-            candidates = induced[0]
-    else:
-        candidates = members
+        degrees.append(d)
+    top = max(degrees, default=-1)
+    if top != sum(degrees) // 2:
+        return PartInfo(single, members, "dead", (), None)
+    candidates = tuple([a for a, d in zip(members, degrees) if d == top])
 
     cross = min(cross_edges)[1:] if cross_edges else None
     if len(candidates) == 1:

@@ -136,7 +136,7 @@ class ContractViolation(RuntimeError):
 class SolveStats:
     """What one run of an engine counted.
 
-    engine names the engine that ran: "domset", "mis" or "brute". The
+    engine names the engine that ran: "domset" or "mis". The
     domset search fills the next five fields: search_nodes counts the
     assignments tried in D, pruned ones included; roots_explored counts
     the complete assignments that propagated stably, and the two tuples
@@ -183,7 +183,9 @@ class CountResult:
 
 
 def format_weight(w: float) -> str:
-    """Shortest exact decimal form; integral values print without a point."""
+    """An integral weight prints as its integer, every digit and no point,
+    so 1e300 prints 301 digits; any other weight prints as repr, the
+    shortest decimal that reads back as the same float."""
     if w == int(w):
         return str(int(w))
     return repr(w)

@@ -6,12 +6,12 @@ dominating set D depth-first and prunes every prefix that propagation
 refutes; the independent set route walks every maximal independent set,
 of which there are at most 3^(n/3). "auto" runs the dominating set
 route: with pruning it was never measurably slower than the independent
-set route on random and planted graphs, so nothing is selected.
+set route on random and planted graphs, so nothing is selected. "mis"
+runs the independent set route.
 
 solve_instance returns the SolveOutcome the engine returned, with the DIM
 mapped back to the input graph's edge ids. Its stats.engine names the
-engine that ran; "brute" runs the oracle, which counts nothing, so its
-record holds the engine name alone.
+engine that ran, "domset" or "mis".
 
 count_instance uses both routes. The search decides existence first, so
 a graph without a DIM never reaches the walk, which on such a graph
@@ -27,13 +27,12 @@ from typing import Callable, Optional
 
 from .domset import solve_domset
 from .graph import (
-    ContractViolation, CountResult, Graph, SolveOutcome, SolveStats, preprocess, validate_dim,
+    ContractViolation, CountResult, Graph, SolveOutcome, preprocess, validate_dim,
 )
 from .mis import count_dims, solve_mis
-from .oracle import brute_solve
 from .trace import DotTracer
 
-ALGORITHMS = ("auto", "domset", "mis", "brute")
+ALGORITHMS = ("auto", "mis")
 
 
 def solve_instance(
@@ -47,22 +46,19 @@ def solve_instance(
     Isolated vertices and isolated edges are split off first; the chosen
     engine runs on the remainder and forced edges are merged back in, so
     the returned edge ids index g.edges; stats is the engine's own record.
-    observer and tracer are solve_domset's, so "mis" and "brute", which
-    have no roots or branches, reject them with ValueError.
+    observer and tracer are solve_domset's, so "mis", which has no roots
+    or branches, rejects them with ValueError.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     pre = preprocess(g)
-    residual = pre.residual
-    if algo in ("auto", "domset"):
-        outcome = solve_domset(residual, observer=observer, tracer=tracer)
+    if algo == "auto":
+        outcome = solve_domset(pre.residual, observer=observer, tracer=tracer)
     elif tracer is not None or observer is not None:
         what = "branch tracing" if tracer is not None else "a root observer"
-        raise ValueError(f"{what} is only available with the domset algorithm")
-    elif algo == "mis":
-        outcome = solve_mis(residual)
+        raise ValueError(f"{what} is only available with the auto algorithm")
     else:
-        outcome = SolveOutcome(brute_solve(residual).min_dim(residual), SolveStats("brute"))
+        outcome = solve_mis(pre.residual)
     if outcome.dim is None:
         return outcome
     dim = pre.original_dim(outcome.dim)

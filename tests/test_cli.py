@@ -48,7 +48,7 @@ def test_solve_reads_stdin_and_reports_selection(capsys):
 
 
 def test_explicit_algo_skips_selection_banner(p4_file, capsys):
-    code = run(["solve", "--algo", "domset", "--input", str(p4_file)])
+    code = run(["solve", "--algo", "mis", "--input", str(p4_file)])
     out = capsys.readouterr()
     assert code == 0 and "auto:" not in out.err
 
@@ -87,6 +87,27 @@ def test_count_formats(capsys):
     assert capsys.readouterr().out == "COUNT 1 MINWEIGHT 2 MINCOUNT 1\n"
     assert run(["count"], stdin=C4_TEXT) == 1
     assert capsys.readouterr().out == "COUNT 0\n"
+
+
+# an integral weight prints every digit of its integer, not repr's 1e+300
+BIG_WEIGHTS = [
+    ("1e16", "10000000000000000"),
+    ("1e300",
+     "10000000000000000525047602552044202487044685811081591549158541155118024579889081957863713750"
+     "80447864043704443832883878176942523235360430575644792184786706982848387200926575803737830233"
+     "79478809005936895323497079994508111903896764088007465274278014249457925878882005684283811566"
+     "9472196386865459400540160"),
+]
+
+
+@pytest.mark.parametrize("weight, digits", BIG_WEIGHTS)
+def test_integral_weights_print_every_digit(weight, digits, capsys):
+    # P3 with both edges of the weight: two DIMs, tied at the minimum
+    text = f"p dim 3 2\ne 1 2 {weight}\ne 2 3 {weight}\n"
+    assert run(["solve"], stdin=text) == 0
+    assert capsys.readouterr().out == f"DIM {digits}\ne 1 2\n"
+    assert run(["count"], stdin=text) == 0
+    assert capsys.readouterr().out == f"COUNT 2 MINWEIGHT {digits} MINCOUNT 2\n"
 
 
 def test_missing_input_is_an_input_error(capsys):
@@ -139,7 +160,7 @@ def test_trace_rejects_other_algorithms(p4_file, capsys):
         ["solve", "--input", str(p4_file), "--algo", "mis", "--trace", "dot:x"]
     )
     assert code == 2
-    assert "domset" in capsys.readouterr().err
+    assert "auto" in capsys.readouterr().err
 
 
 def test_trace_spec_must_be_dot(p4_file, capsys):
@@ -174,6 +195,15 @@ def test_gen_rejects_bad_family_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         run(["gen", "--family", "blob", "--n", "4"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("algo", ["domset", "brute"])
+def test_algo_names_only_the_two_engines(algo, p4_file, capsys):
+    # the search runs as auto, and the oracle is brute_solve in the library
+    with pytest.raises(SystemExit) as info:
+        run(["solve", "--algo", algo, "--input", str(p4_file)])
+    assert info.value.code == 2
+    assert f"invalid choice: '{algo}'" in capsys.readouterr().err
 
 
 def test_bench_is_not_a_subcommand(capsys):

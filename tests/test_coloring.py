@@ -65,7 +65,7 @@ def test_white_forces_neighbors_black():
     assert res.stable
     assert colors(col) == bytes([WHITE, BLACK, BLACK])
     assert col.pair[1] == 2
-    assert col.singles() == () and col.is_total()
+    assert col.singles() == () and UNCOLORED not in col.state
 
 
 def test_paired_black_whitens_other_neighbors():
@@ -139,7 +139,7 @@ def test_empty_singles_means_total():
         res = col.propagate()
         if res.stable and not col.singles():
             hits += 1
-            assert col.is_total()
+            assert UNCOLORED not in col.state
     assert hits > 20  # the corpus must actually exercise the property
 
 

@@ -82,20 +82,25 @@ def test_classify_empty_part_is_dead():
     ]
 
 
+def part_of_single(n, induced):
+    """Single 0 black, every other vertex in its part, plus the given
+    edges induced inside the part."""
+    return graph(n, [(0, v, 1.0) for v in range(1, n)] + [(a, b, 1.0) for a, b in induced])
+
+
 def test_classify_star_part_forces_center():
     #  single 0 sees leaves 1..3; the part {1,2,3} plus edges 1-2, 1-3
-    #  has the unique star center 1
-    g = graph(
-        4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)]
-    )
-    info = classify(g, [0], 0)
-    assert info.kind == "forced" and info.candidates == (1,)
+    #  has the unique star center 1; an isolated member 4 changes nothing
+    for n in (4, 5):
+        info = classify(part_of_single(n, [(1, 2), (1, 3)]), [0], 0)
+        assert info.kind == "forced" and info.candidates == (1,), n
 
 
 def test_classify_single_edge_part_offers_both_endpoints():
-    g = graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)])
-    info = classify(g, [0], 0)
-    assert info.kind == "free" and info.candidates == (1, 2)
+    #  the lone edge 1-2, beside one or two isolated members
+    for n in (4, 5):
+        info = classify(part_of_single(n, [(1, 2)]), [0], 0)
+        assert info.kind == "free" and info.candidates == (1, 2), n
 
 
 def test_classify_independent_part_offers_everyone():
@@ -104,13 +109,15 @@ def test_classify_independent_part_offers_everyone():
 
 
 def test_classify_triangle_part_is_dead():
-    g = graph(
-        4,
-        [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0),
-         (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
-    )
-    info = classify(g, [0], 0)
-    assert info.kind == "dead"
+    #  no vertex meets every induced edge: a triangle, two disjoint edges,
+    #  a path of three edges
+    for n, induced in [
+        (4, [(1, 2), (1, 3), (2, 3)]),
+        (5, [(1, 2), (3, 4)]),
+        (5, [(1, 2), (2, 3), (3, 4)]),
+    ]:
+        info = classify(part_of_single(n, induced), [0], 0)
+        assert (info.kind, info.candidates, info.cross) == ("dead", (), None), induced
 
 
 def test_classify_cross_edge_reported():

@@ -16,13 +16,13 @@ from dimsolver import (
     Dim,
     Graph,
     SolveOutcome,
-    SolveStats,
     brute_solve,
     count_dims,
     count_instance,
     gen_instance,
     parse_graph,
     preprocess,
+    solve_domset,
     solve_instance,
     validate_dim,
 )
@@ -37,7 +37,7 @@ from support import (
     star,
 )
 
-ALL_ALGOS = ("auto", "domset", "mis", "brute")
+ALL_ALGOS = ("auto", "mis")
 
 
 def test_auto_runs_domset_on_tiny_dominating_sets():
@@ -45,7 +45,7 @@ def test_auto_runs_domset_on_tiny_dominating_sets():
     r = solve_instance(g, algo="auto")
     assert r.stats.engine == "domset"
     assert r.stats.dominating_set_size == 1
-    assert r.dim == solve_instance(g, algo="domset").dim
+    assert r == solve_domset(g)
 
 
 def test_auto_runs_domset_on_spread_graphs():
@@ -53,7 +53,7 @@ def test_auto_runs_domset_on_spread_graphs():
     for g in (cycle([1.0] * 12), cycle([1.0, 2.0, 3.0] * 10), graph(2, [(0, 1, 2.0)])):
         r = solve_instance(g, algo="auto")
         assert r.stats.engine == "domset"
-        assert r.dim == solve_instance(g, algo="domset").dim
+        assert r.stats == solve_domset(preprocess(g).residual).stats
         assert r.dim.weight == solve_instance(g, algo="mis").dim.weight
         assert r.stats.search_nodes <= 2 * g.n
 
@@ -79,6 +79,7 @@ def test_forced_edges_and_isolated_vertices_merge_back():
         assert r.dim.weight == 7.0
         assert r.dim.edge_ids == frozenset({0, 1})
         assert validate_dim(g, r.dim.edge_ids)
+    assert brute_solve(g).min_dim(g) == Dim(frozenset({0, 1}), 7.0)
     res = count_instance(g)
     assert (res.total, res.min_weight, res.min_count) == (2, 7.0, 1)
 
@@ -101,6 +102,7 @@ def test_counting_survives_what_would_be_an_isolated_edge():
 def test_no_dim_reported_as_none_everywhere():
     for algo in ALL_ALGOS:
         assert solve_instance(C5_UNIT, algo=algo).dim is None
+    assert brute_solve(C5_UNIT).min_dim(C5_UNIT) is None
     res = count_instance(C5_UNIT)
     assert (res.total, res.min_weight, res.min_count) == (0, None, 0)
 
@@ -144,8 +146,6 @@ def test_reports_which_algorithm_ran():
     assert r.stats.engine == "domset"
     r = solve_instance(cycle([1.0] * 10), algo="mis")
     assert r.stats.engine == "mis"
-    r = solve_instance(P4_527, algo="brute")
-    assert r.stats == SolveStats("brute")
 
 
 def test_engine_counters_are_pinned():
@@ -159,7 +159,7 @@ def test_engine_counters_are_pinned():
         (gen_instance("path", 6, weights="uniform:1:9"), 3, 2, 2, 5, 12.0),
     ]
     for g, d, roots, leaves, mis_count, weight in pinned:
-        dom = solve_instance(g, "domset")
+        dom = solve_instance(g, "auto")
         got = (
             dom.stats.dominating_set_size,
             dom.stats.roots_explored,
@@ -171,23 +171,23 @@ def test_engine_counters_are_pinned():
 
 
 def test_unknown_algorithm_rejected():
-    with pytest.raises(ValueError):
-        solve_instance(P4_527, algo="magic")
+    # the search runs as "auto" and the oracle as brute_solve
+    for algo in ("magic", "domset", "brute"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            solve_instance(P4_527, algo=algo)
 
 
 def test_tracing_with_non_branching_algorithms_rejected():
     from dimsolver import DotTracer
 
-    for algo in ("mis", "brute"):
-        with pytest.raises(ValueError):
-            solve_instance(P4_527, algo=algo, tracer=DotTracer())
+    with pytest.raises(ValueError, match="branch tracing .* auto"):
+        solve_instance(P4_527, algo="mis", tracer=DotTracer())
 
 
 def test_root_observer_with_non_branching_algorithms_rejected():
     calls = []
-    for algo in ("mis", "brute"):
-        with pytest.raises(ValueError, match="root observer"):
-            solve_instance(P4_527, algo=algo, observer=lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="root observer .* auto"):
+        solve_instance(P4_527, algo="mis", observer=lambda *args: calls.append(args))
     assert calls == []
 
 
@@ -195,7 +195,7 @@ def test_count_record_is_the_deciding_engine_record():
     # the search's record when it rules a DIM out, else the walk's
     for g in random_corpus(60, seed=5):
         res = count_instance(g)
-        algo = "domset" if res.total == 0 else "mis"
+        algo = "auto" if res.total == 0 else "mis"
         assert res.stats == solve_instance(g, algo).stats, algo
 
 
