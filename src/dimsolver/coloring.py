@@ -2,8 +2,10 @@
 
 A coloring assigns each vertex Uncolored, White, or Black. The target total
 colorings are exactly the DIMs: whites form an independent set, blacks a
-1-regular induced subgraph (each black has one "pair"). Four forcing rules
-and one refutation drive propagation:
+1-regular induced subgraph (each black has one "pair"). So pairs are read
+off the colors, not stored: in a valid coloring a black vertex has at most
+one black neighbor, and that neighbor is its pair. Four forcing rules and
+one refutation drive propagation:
 
   * every neighbor of a white vertex is black
   * every neighbor of a paired black vertex, other than its pair, is white
@@ -44,34 +46,24 @@ class PropagationResult:
 class Coloring:
     """Mutable color state over an immutable graph.
 
-    All changes go through set_white/set_black so the per-vertex counters
-    (black neighbors, uncolored neighbors) and pair links stay exact and
-    every change lands on the undo trail. Either setter returns False when
-    the change breaks partial validity (two adjacent whites, or a black
-    with two black neighbors); the state is then dirty and the caller is
-    expected to undo_to() an earlier mark.
+    All changes go through set_white/set_black so the black-neighbor
+    counters stay exact and every change lands on the undo trail. Either
+    setter returns False when the change breaks partial validity (two
+    adjacent whites, or a black with two black neighbors); the state is
+    then dirty and the caller is expected to undo_to() an earlier mark.
+    Pairs are not stored: mate(v) reads a black vertex's pair off the
+    colors, and a black vertex is single when black_nbrs is 0.
 
     A Coloring has a single owner; independent colorings may share one
     graph.
     """
 
-    __slots__ = (
-        "graph",
-        "state",
-        "pair",
-        "black_nbrs",
-        "uncolored_nbrs",
-        "_trail",
-        "_done",
-    )
+    __slots__ = ("graph", "state", "black_nbrs", "_trail", "_done")
 
     def __init__(self, g: Graph):
         self.graph = g
-        n = g.n
-        self.state = bytearray(n)
-        self.pair = [NO_PAIR] * n
-        self.black_nbrs = [0] * n
-        self.uncolored_nbrs = [len(a) for a in g.adjacency]
+        self.state = bytearray(g.n)
+        self.black_nbrs = [0] * g.n
         self._trail: list[int] = []
         self._done = 0  # trail entries propagate has visited
 
@@ -86,30 +78,23 @@ class Coloring:
         state = self.state
         while len(trail) > mark:
             v = trail.pop()
-            was_black = state[v] == BLACK
-            state[v] = UNCOLORED
-            p = self.pair[v]
-            if p != NO_PAIR:
-                self.pair[p] = NO_PAIR
-                self.pair[v] = NO_PAIR
-            for u, _ in self.graph.adjacency[v]:
-                self.uncolored_nbrs[u] += 1
-                if was_black:
+            if state[v] == BLACK:
+                for u, _ in self.graph.adjacency[v]:
                     self.black_nbrs[u] -= 1
+            state[v] = UNCOLORED
         self._done = min(self._done, mark)
 
     # -- assignment -------------------------------------------------------
 
     def set_white(self, v: int) -> bool:
         assert self.state[v] == UNCOLORED, f"vertex {v} is already colored"
-        self.state[v] = WHITE
+        state = self.state
+        state[v] = WHITE
         self._trail.append(v)
-        ok = True
         for u, _ in self.graph.adjacency[v]:
-            self.uncolored_nbrs[u] -= 1
-            if self.state[u] == WHITE:
-                ok = False
-        return ok
+            if state[u] == WHITE:
+                return False
+        return True
 
     def set_black(self, v: int) -> bool:
         assert self.state[v] == UNCOLORED, f"vertex {v} is already colored"
@@ -117,18 +102,10 @@ class Coloring:
         state[v] = BLACK
         self._trail.append(v)
         ok = self.black_nbrs[v] <= 1
-        mate = NO_PAIR
         for u, _ in self.graph.adjacency[v]:
-            self.uncolored_nbrs[u] -= 1
             self.black_nbrs[u] += 1
-            if state[u] == BLACK:
-                if self.black_nbrs[u] > 1:
-                    ok = False
-                mate = u
-        if ok and mate != NO_PAIR:
-            # v's unique black neighbor was single, they pair up
-            self.pair[v] = mate
-            self.pair[mate] = v
+            if state[u] == BLACK and self.black_nbrs[u] > 1:
+                ok = False
         return ok
 
     def set_color(self, v: int, color: int) -> bool:
@@ -166,44 +143,56 @@ class Coloring:
     def _visit(self, v: int) -> bool:
         """Fire the rules that coloring v can have enabled; False on a
         validity break or a dead single."""
-        state, pair = self.state, self.pair
+        state, black_nbrs = self.state, self.black_nbrs
         adjacency = self.graph.adjacency
         if state[v] == WHITE:
             for u, _ in adjacency[v]:
                 if state[u] == UNCOLORED and not self.set_black(u):
                     return False
-        elif pair[v] != NO_PAIR:
-            # the mate may have been visited while still single
-            for x in (v, pair[v]):
-                p = pair[x]
+        elif black_nbrs[v]:
+            # the mate may have been visited while still single; pairs are black
+            for x in (v, self.mate(v)):
                 for u, _ in adjacency[x]:
-                    if u != p and state[u] == UNCOLORED and not self.set_white(u):
+                    if state[u] == UNCOLORED and not self.set_white(u):
                         return False
-        # coloring v raised black_nbrs or lowered uncolored_nbrs of each u
+        # coloring v raised each u's black_nbrs or left it fewer uncolored neighbors
         for u, _ in adjacency[v]:
             if state[u] == UNCOLORED:
-                if self.black_nbrs[u] >= 2 and not self.set_white(u):
+                if black_nbrs[u] >= 2 and not self.set_white(u):
                     return False
-            elif state[u] == BLACK and pair[u] == NO_PAIR and not self._settle_single(u):
+            elif state[u] == BLACK and not black_nbrs[u] and not self._settle_single(u):
                 return False
-        return state[v] == WHITE or pair[v] != NO_PAIR or self._settle_single(v)
+        return state[v] == WHITE or black_nbrs[v] > 0 or self._settle_single(v)
 
     def _settle_single(self, s: int) -> bool:
         """The single rule on the black vertex s: pair it with its one
         uncolored neighbor; False when it has none left."""
-        left = self.uncolored_nbrs[s]
-        if left == 1:
-            u = next(u for u, _ in self.graph.adjacency[s] if self.state[u] == UNCOLORED)
-            return self.set_black(u)
-        return left > 1
+        state = self.state
+        only = NO_PAIR
+        for u, _ in self.graph.adjacency[s]:
+            if state[u] == UNCOLORED:
+                if only != NO_PAIR:
+                    return True  # a second one: nothing is forced yet
+                only = u
+        return only != NO_PAIR and self.set_black(only)
 
     # -- queries ----------------------------------------------------------
 
+    def mate(self, v: int) -> int:
+        """The pair of v: its one black neighbor when v is black and has
+        one, else NO_PAIR."""
+        state = self.state
+        if state[v] == BLACK and self.black_nbrs[v]:
+            for u, _ in self.graph.adjacency[v]:
+                if state[u] == BLACK:
+                    return u
+        return NO_PAIR
+
     def singles(self) -> tuple[int, ...]:
         """The black vertices without a pair, in increasing order."""
-        state, pair = self.state, self.pair
+        state, black_nbrs = self.state, self.black_nbrs
         return tuple(
-            [v for v in range(self.graph.n) if state[v] == BLACK and pair[v] == NO_PAIR]
+            [v for v in range(self.graph.n) if state[v] == BLACK and not black_nbrs[v]]
         )
 
     def to_dim(self) -> Dim:
@@ -214,9 +203,11 @@ class Coloring:
             if state[v] == UNCOLORED:
                 raise ContractViolation(f"vertex {v} is uncolored, coloring not total")
             if state[v] == BLACK:
-                p = self.pair[v]
-                if p == NO_PAIR:
+                for u, eid in self.graph.adjacency[v]:
+                    if state[u] == BLACK:
+                        break
+                else:
                     raise ContractViolation(f"black vertex {v} has no pair")
-                if p > v:
-                    ids.append(self.graph.edge_id(v, p))
+                if u > v:
+                    ids.append(eid)
         return self.graph.dim(ids)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring
+from .coloring import BLACK, UNCOLORED, WHITE, Coloring
 from .graph import (
     ContractViolation, Dim, Graph, SolveOutcome, SolveStats, format_weight, validate_dim,
 )
@@ -146,20 +146,20 @@ def classify_parts(col: Coloring) -> list[PartInfo]:
     empty part, which is dead.
     """
     g = col.graph
-    state = col.state
+    state, black_nbrs = col.state, col.black_nbrs
     parts: dict[int, list[int]] = {}
     part_of: dict[int, int] = {}
     for v in range(g.n):
-        if state[v] == BLACK and col.pair[v] == NO_PAIR:
+        if state[v] == BLACK and not black_nbrs[v]:
             parts.setdefault(v, [])
         elif state[v] == UNCOLORED:
-            if col.black_nbrs[v] != 1:
+            if black_nbrs[v] != 1:
                 raise ContractViolation(
-                    f"uncolored vertex {v} has {col.black_nbrs[v]} black neighbors, "
+                    f"uncolored vertex {v} has {black_nbrs[v]} black neighbors, "
                     "expected exactly 1 (is the root set dominating?)"
                 )
             owner = next(b for b, _ in g.adjacency[v] if state[b] == BLACK)
-            if col.pair[owner] != NO_PAIR:
+            if black_nbrs[owner]:
                 raise ContractViolation(
                     f"uncolored vertex {v} borders the paired black vertex {owner}"
                 )

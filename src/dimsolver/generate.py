@@ -9,6 +9,7 @@ assigned over the sorted edge list, so the two stages never interleave.
 from __future__ import annotations
 
 import random
+import sys
 from typing import Callable
 
 from .graph import Graph, validate_dim
@@ -27,6 +28,8 @@ def _weight_fn(spec: str, rng: random.Random) -> Callable[[], float]:
             raise ValueError(f"bad weight spec {spec!r}: bounds must be integers")
         if lo < 0 or lo > hi:
             raise ValueError(f"bad weight spec {spec!r}: need 0 <= lo <= hi")
+        if hi > sys.float_info.max:
+            raise ValueError(f"bad weight spec {spec!r}: hi is past the float range")
         return lambda: float(rng.randint(lo, hi))
     raise ValueError(f"bad weight spec {spec!r}: expected 'unit' or 'uniform:lo:hi'")
 

@@ -74,8 +74,8 @@ def count_instance(g: Graph) -> CountResult:
     The dominating set search runs first. When it finds no DIM the count
     is 0 and stats is the search's record (engine "domset"); otherwise
     the maximal independent set walk counts, stats is the walk's record
-    (engine "mis"), and a walk minimum that differs from the search's
-    raises ContractViolation.
+    (engine "mis"). A walk minimum that differs from the search's, or a
+    witness that is not a DIM of g, raises ContractViolation.
     """
     pre = preprocess(g)
     found = solve_domset(pre.residual)
@@ -87,4 +87,6 @@ def count_instance(g: Graph) -> CountResult:
             f"count walk minimum {res.min_weight!r} != search minimum {found.dim.weight!r}"
         )
     dim = pre.original_dim(res.witness)
+    if not validate_dim(g, dim.edge_ids):
+        raise ContractViolation("count witness fails validation on the input graph")
     return CountResult(res.total, dim.weight, res.min_count, dim, res.stats)

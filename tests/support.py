@@ -124,12 +124,12 @@ def reference_induced_coloring(g: Graph, independent: Iterable[int]) -> InducedC
     for v in members:
         if col.black_nbrs[v] != g.degree(v):
             raise ContractViolation(f"vertex {v} has a neighbor inside the independent set")
-    singles = tuple(v for v in range(g.n) if v not in members and col.pair[v] == NO_PAIR)
+    singles = tuple(v for v in range(g.n) if v not in members and col.mate(v) == NO_PAIR)
     options = {
         s: tuple(sorted((g.edges[eid][2], u, eid) for u, eid in g.adjacency[s] if g.degree(u) == 1))
         for s in singles
     }
-    matched = tuple(g.edge_id(v, col.pair[v]) for v in range(g.n) if col.pair[v] > v)
+    matched = tuple(g.edge_id(v, col.mate(v)) for v in range(g.n) if col.mate(v) > v)
     return InducedColoring(True, matched, singles, options)
 
 

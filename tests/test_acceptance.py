@@ -255,7 +255,7 @@ def test_stable_root_colorings_keep_their_contracts():
                             u for u, _ in g.adjacency[v] if col.state[u] == BLACK
                         ]
                         assert len(black_nbrs) == 1, "uncolored vertex contract"
-                        assert col.pair[black_nbrs[0]] == NO_PAIR
+                        assert col.mate(black_nbrs[0]) == NO_PAIR
             if root in extensible:
                 extensible_count += 1
                 assert res is not None and res.stable, (
@@ -322,7 +322,7 @@ def test_propagation_is_order_independent():
                 assert col.set_color(v, color)
             res = col.propagate(rng=random.Random(order_seed))
             outcome = (
-                (True, bytes(col.state), tuple(col.pair))
+                (True, bytes(col.state), tuple(col.mate(v) for v in range(g.n)))
                 if res.stable
                 else (False,)
             )

@@ -197,6 +197,13 @@ def test_gen_rejects_bad_family_via_argparse(capsys):
     assert info.value.code == 2
 
 
+def test_gen_rejects_weights_past_the_float_range(capsys):
+    code = run(["gen", "--family", "path", "--n", "3", "--weights", "uniform:0:1" + "0" * 400])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: bad weight spec") and out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("algo", ["domset", "brute"])
 def test_algo_names_only_the_two_engines(algo, p4_file, capsys):
     # the search runs as auto, and the oracle is brute_solve in the library

@@ -52,7 +52,7 @@ def test_two_black_neighbors_rejected():
 def test_pairing_is_symmetric_and_recorded():
     col = Coloring(P3)
     assert col.set_black(0) and col.set_black(1)
-    assert col.pair[0] == 1 and col.pair[1] == 0
+    assert col.mate(0) == 1 and col.mate(1) == 0
     assert col.set_white(2)
     assert col.to_dim().edge_ids == frozenset({P3.edge_id(0, 1)})
 
@@ -64,7 +64,7 @@ def test_white_forces_neighbors_black():
     # 1 turns black (unique uncolored neighbor rule then pairs it with 2)
     assert res.stable
     assert colors(col) == bytes([WHITE, BLACK, BLACK])
-    assert col.pair[1] == 2
+    assert col.mate(1) == 2
     assert col.singles() == () and UNCOLORED not in col.state
 
 
@@ -167,7 +167,7 @@ def test_undo_restores_counters_and_pairs():
     assert col.propagate().stable
     col.undo_to(snap_mark)
     assert colors(col) == bytes([UNCOLORED] * 6)
-    assert all(p == -1 for p in col.pair)
+    assert all(col.mate(v) == NO_PAIR for v in range(6))
     assert list(col.black_nbrs) == [0] * 6
     # the coloring is fully reusable after undo
     col.set_white(0)
@@ -221,7 +221,7 @@ def test_propagate_rng_orders_agree():
             col.set_black(0)
             res = col.propagate(rng=random.Random(seed))
             outcome = (res.stable, colors(col) if res.stable else None,
-                       tuple(col.pair) if res.stable else None)
+                       mates(col) if res.stable else None)
             if reference is None:
                 reference = outcome
             else:
@@ -230,13 +230,13 @@ def test_propagate_rng_orders_agree():
 
 def assert_closed(col):
     # a direct scan of every vertex finds no rule that still applies
-    g, state, pair = col.graph, col.state, col.pair
+    g, state = col.graph, col.state
     for v in range(g.n):
         nbrs = [u for u, _ in g.adjacency[v]]
         uncolored = [u for u in nbrs if state[u] == UNCOLORED]
         if state[v] == WHITE:
             assert not uncolored, f"white {v} has uncolored neighbors {uncolored}"
-        elif state[v] == BLACK and pair[v] != NO_PAIR:
+        elif state[v] == BLACK and col.mate(v) != NO_PAIR:
             assert not uncolored, f"paired {v} has uncolored neighbors {uncolored}"
         elif state[v] == BLACK:
             assert len(uncolored) >= 2, f"single {v} has uncolored {uncolored}"
@@ -244,9 +244,12 @@ def assert_closed(col):
             assert sum(state[u] == BLACK for u in nbrs) <= 1, f"{v} sees two blacks"
 
 
+def mates(col):
+    return tuple(col.mate(v) for v in range(col.graph.n))
+
+
 def snapshot(col):
-    return (bytes(col.state), list(col.pair), list(col.black_nbrs),
-            list(col.uncolored_nbrs))
+    return (bytes(col.state), mates(col), list(col.black_nbrs))
 
 
 def test_incremental_propagation_equals_propagation_from_scratch():

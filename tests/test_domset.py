@@ -283,6 +283,35 @@ digraph branchtree {
 """
 
 
+# a free part settled at its cheapest candidate, and a dead root
+STAR_DOT = """\
+digraph branchtree {
+  node [shape=box];
+  n0 [label="search over dominating set [0]"];
+  n1 [label="0=W\\ninvalid"];
+  n2 [label="0=B"];
+  n3 [label="root 0x1"];
+  n4 [label="free 2 pairs 0\\ncomplete w=1"];
+  n0 -> n1;
+  n0 -> n2;
+  n2 -> n3;
+  n3 -> n4;
+}
+"""
+K4_DOT = """\
+digraph branchtree {
+  node [shape=box];
+  n0 [label="search over dominating set [0]"];
+  n1 [label="0=W\\ninvalid"];
+  n2 [label="0=B"];
+  n3 [label="root 0x1\\ndead s=0"];
+  n0 -> n1;
+  n0 -> n2;
+  n2 -> n3;
+}
+"""
+
+
 def test_tracer_records_branches():
     tracer = DotTracer()
     out = solve_domset(C6_UNIT, dominating_set=[0, 3], tracer=tracer)
@@ -294,6 +323,10 @@ def test_tracer_records_branches():
     # the whole branch tree: D assignments, roots, settled parts, cross
     # branches and leaf notes, in search order
     assert dot == C6_DOT
+    for g, golden in ((STAR_419, STAR_DOT), (complete(4), K4_DOT)):
+        tracer = DotTracer()
+        solve_domset(g, tracer=tracer)
+        assert tracer.to_dot() == golden
 
     # leaf labels print weights exactly, as solve prints them
     tracer = DotTracer()

@@ -70,7 +70,8 @@ def test_parameter_validation():
         gen_instance("blob", 4)
     with pytest.raises(ValueError):
         gen_instance("random", 4, p=1.5)
-    for spec in ("uniform:5:2", "uniform:-1:4", "uniform:a:b", "gauss:0:1"):
+    too_big = "uniform:0:1" + "0" * 400  # past the float range
+    for spec in ("uniform:5:2", "uniform:-1:4", "uniform:a:b", "gauss:0:1", too_big):
         with pytest.raises(ValueError):
             gen_instance("path", 4, weights=spec)
 

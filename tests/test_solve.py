@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,25 @@ def test_count_walk_and_search_must_agree(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("internal error: ") and out.err.count("\n") == 1
+
+
+def test_count_witness_must_be_a_dim_of_the_input(monkeypatch, capsys):
+    # on the unit P4 the edge 0-1 weighs as much as the DIM {1-2}, but it
+    # does not dominate the edge 2-3
+    g = path([1.0, 1.0, 1.0])
+    real = dimsolver.solve.count_dims
+
+    def wrong_witness(residual):
+        res = real(residual)
+        return replace(res, witness=Dim(frozenset({0}), res.min_weight))
+
+    monkeypatch.setattr(dimsolver.solve, "count_dims", wrong_witness)
+    with pytest.raises(ContractViolation, match="count witness fails validation"):
+        count_instance(g)
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p dim 4 3\ne 1 2 1\ne 2 3 1\ne 3 4 1\n"))
+    assert dimsolver.cli.main(["count"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: count witness")
 
 
 # Twelve sweeps of the per-instance path over small graphs; prints how many
