@@ -27,12 +27,10 @@ from .graph import (
     Dim,
     Graph,
     GraphFormatError,
-    PreprocessResult,
     SolveOutcome,
     SolveStats,
     format_weight,
     parse_graph,
-    preprocess,
     serialize_graph,
     validate_dim,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "MAX_ORACLE_N",
     "NO_PAIR",
     "OracleResult",
-    "PreprocessResult",
     "SolveOutcome",
     "SolveStats",
     "UNCOLORED",
@@ -87,7 +84,6 @@ __all__ = [
     "format_weight",
     "gen_instance",
     "parse_graph",
-    "preprocess",
     "serialize_graph",
     "solve_domset",
     "solve_instance",

@@ -24,6 +24,11 @@ and its subtree is skipped. The search does three things:
   branch    on a cross edge's endpoint, black before white, then settle
             again.
 
+Isolated vertices and isolated edges are colored before the search, the
+vertex white and the edge's ends black, as every DIM colors them, so the
+search never assigns them. Below, |D| and n count only the vertices in
+components of three or more vertices.
+
 There are at most 2^|D| roots. Only cross parts branch, and each branch
 settles at least one single, so a root explores at most 2^q leaves where
 q is the number of singles left after the dead/forced reduction; q never
@@ -47,9 +52,10 @@ Observer = Callable[[int, frozenset[int], tuple[int, ...]], None]
 
 
 def find_dominating_set(g: Graph) -> list[int]:
-    """Greedy maximal independent set, or its complement when that is
-    strictly smaller and still dominating. Size is at most floor(n/2) on
-    graphs without isolated vertices.
+    """Greedy maximal independent set, or, when strictly smaller, its
+    complement plus the isolated vertices, which dominates too: all the
+    neighbors of a member of the set are in the complement. Size is at
+    most floor(n/2) on graphs without isolated vertices.
     """
     taken = [False] * g.n
     independent = []
@@ -57,10 +63,8 @@ def find_dominating_set(g: Graph) -> list[int]:
         if not any(taken[u] for u, _ in g.adjacency[v]):
             taken[v] = True
             independent.append(v)
-    complement = [v for v in range(g.n) if not taken[v]]
-    if len(complement) < len(independent) and all(
-        g.degree(v) > 0 for v in independent
-    ):
+    complement = [v for v in range(g.n) if not (taken[v] and g.adjacency[v])]
+    if len(complement) < len(independent):
         return complement
     return independent
 
@@ -174,8 +178,11 @@ def solve_domset(
     observer: Observer | None = None,
     tracer=None,
 ) -> SolveOutcome:
-    """Minimum-weight DIM of a preprocessed graph, or certified absence.
+    """Minimum-weight DIM of g, or certified absence.
 
+    Isolated vertices and isolated edges are colored before the search
+    starts, so the vertex each puts in D costs no search node, root, leaf
+    or single.
     dominating_set defaults to find_dominating_set(g); passing a set that
     is not dominating is misuse and raises ValueError. observer, if given,
     is called as observer(root_index, root_black_set, singles) at each
@@ -192,7 +199,11 @@ def solve_domset(
             raise ValueError("dominating set contains out-of-range vertex ids")
         if not _is_dominating(g, d_sorted):
             raise ValueError("the given vertex set is not dominating")
-    return _search(Coloring(g), d_sorted, observer, tracer)
+    col = Coloring(g)
+    for v in set(range(g.n)).difference(g.core_vertices()):
+        col.set_color(v, BLACK if g.adjacency[v] else WHITE)
+    col.propagate()  # stable: every black has its pair and no other neighbor
+    return _search(col, d_sorted, observer, tracer)
 
 
 def _search(
@@ -212,7 +223,10 @@ def _search(
     nodes = 0
     leaves_per_root: list[int] = []
     singles_per_root: list[int] = []
-    bound = min(len(d_sorted), (g.n + 2) // 3)
+    # the caps count only vertices in components of three or more
+    core = set(g.core_vertices())
+    d_core = sum(1 for v in d_sorted if v in core)
+    bound = min(d_core, (len(core) + 2) // 3)
     root = 0
     q: int | None = None
 
@@ -261,10 +275,9 @@ def _search(
             leaves_per_root.append(0)
             singles_per_root.append(0)
             q = None
-            if len(leaves_per_root) > 1 << len(d_sorted):
+            if len(leaves_per_root) > 1 << d_core:
                 raise ContractViolation(
-                    f"explored {len(leaves_per_root)} roots > 2^|D| = "
-                    f"{1 << len(d_sorted)}"
+                    f"explored {len(leaves_per_root)} roots > 2^|D| = {1 << d_core}"
                 )
 
         # settle this branch a wave at a time until it reaches a leaf, a

@@ -1,5 +1,5 @@
-"""Weighted simple undirected graphs: representation, file I/O, preprocessing,
-and the result types every engine answers with.
+"""Weighted simple undirected graphs: representation, file I/O, the DIM
+validator, and the result types every engine answers with.
 
 The file format is DIMACS-like, one record per line:
 
@@ -103,6 +103,16 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    def core_vertices(self) -> list[int]:
+        """The vertices in components of three or more vertices, in order:
+        those whose degree, or whose one neighbor's, is at least 2. The
+        rest are isolated vertices and the ends of isolated edges."""
+        adj = self.adjacency
+        return [
+            v for v, nbrs in enumerate(adj)
+            if len(nbrs) > 1 or (nbrs and len(adj[nbrs[0][0]]) > 1)
+        ]
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Id of the edge between u and v, or None if they are not adjacent."""
@@ -293,76 +303,6 @@ def serialize_graph(g: Graph) -> str:
     for u, v, w in g.edges:
         lines.append(f"e {u + 1} {v + 1} {format_weight(w)}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class PreprocessResult:
-    """Outcome of trivial-component elimination.
-
-    forced_edges are the ids of the isolated-edge components of the
-    original graph: each such edge belongs to every DIM of it. The
-    residual graph has minimum degree >= 1 and no single-edge components.
-    Its ids are dense; edge_to_original maps residual edge ids back.
-    """
-
-    original: Graph
-    residual: Graph
-    forced_edges: tuple[int, ...]
-    edge_to_original: tuple[int, ...]
-
-    def original_dim(self, dim: Dim) -> Dim:
-        """Map a DIM of the residual back to the original graph, adding
-        forced edges; the weight is summed from the original's weights."""
-        to_original = self.edge_to_original
-        return self.original.dim(
-            [*(to_original[e] for e in dim.edge_ids), *self.forced_edges]
-        )
-
-
-def preprocess(g: Graph) -> PreprocessResult:
-    """Strip isolated vertices and isolated-edge components.
-
-    Any DIM of the original graph is the union of the forced edges and a
-    DIM of the residual, and vice versa; preprocess is idempotent. When
-    nothing is stripped the residual is g itself, with the identity edge map.
-    """
-    adj = g.adjacency
-    # a vertex is in a component of three or more vertices exactly when it
-    # or its one neighbor has degree >= 2
-    kept = [
-        v
-        for v, nbrs in enumerate(adj)
-        if len(nbrs) > 1 or (nbrs and len(adj[nbrs[0][0]]) > 1)
-    ]
-    if len(kept) == g.n:
-        return PreprocessResult(g, g, (), tuple(range(g.m)))
-
-    fwd = [-1] * g.n
-    for new, old in enumerate(kept):
-        fwd[old] = new
-    res_edges: list[tuple[int, int, float]] = []
-    edge_map: list[int] = []
-    forced: list[int] = []
-    res_eid = [-1] * g.m
-    for eid, (u, v, w) in enumerate(g.edges):
-        if fwd[u] == -1:
-            # u and v have degree 1: an isolated-edge component
-            forced.append(eid)
-        else:
-            res_eid[eid] = len(res_edges)
-            res_edges.append((fwd[u], fwd[v], w))
-            edge_map.append(eid)
-    # every neighbor of a kept vertex is kept, and edge ids keep their
-    # order, so each remapped list is still in residual edge order
-    res_adj = tuple(
-        [tuple([(fwd[u], res_eid[eid]) for u, eid in adj[old]]) for old in kept]
-    )
-    return PreprocessResult(
-        original=g,
-        residual=Graph._checked(len(kept), tuple(res_edges), res_adj),
-        forced_edges=tuple(forced),
-        edge_to_original=tuple(edge_map),
-    )
 
 
 def validate_dim(g: Graph, candidate: frozenset[int] | set[int]) -> bool:

@@ -2,20 +2,24 @@
 
 The white side of any DIM is an independent set, and on graphs without
 isolated edges its non-matched vertices lie in exactly one maximal
-independent set. So: enumerate every MIS I and color V minus I black;
-the walk reduces each I once, on bit masks. Blacks pair up among
-themselves, and the first black whose neighbors in the black mask hold
-two vertices kills the MIS; one neighbor there is its pair, none makes it
-a single. A member of I can only ever turn black if it has degree exactly
-1 and its sole neighbor is a single black, so exactly those members are
-the pair options of the singles, computed once per graph; everything else
-in I is white. Each single must pick one of its options, choices are
-independent, and picking cheapest per single is optimal. One walk over
-the sets does both jobs: solve_mis reads the cheapest DIM off it and
-count_dims the product counts, which hold every DIM exactly once. Edge
-ids are looked up only for the sets that complete, and every weight is
-summed by Graph.dim, correctly rounded and so the same in any order.
-No Coloring is built here; that class serves the dominating set engine.
+independent set. An isolated edge would put each DIM in two sets, one
+per white end, so the walk leaves isolated edges out, with the isolated
+vertices, and adds the isolated edges, which every DIM contains, to
+every completion. On the rest: enumerate every MIS I and color the rest
+minus I black; the walk reduces each I once, on bit masks. Blacks pair
+up among themselves, and the first black whose neighbors in the black
+mask hold two vertices kills the MIS; one neighbor there is its pair,
+none makes it a single. A member of I can only ever turn black if it has
+degree exactly 1 and its sole neighbor is a single black, so exactly
+those members are the pair options of the singles, computed once per
+graph; everything else in I is white. Each single must pick one of its
+options, choices are independent, and picking cheapest per single is
+optimal. One walk over the sets does both jobs: solve_mis reads the
+cheapest DIM off it and count_dims the product counts, which hold every
+DIM exactly once. Edge ids are looked up only for the sets that
+complete, and every weight is summed by Graph.dim, correctly rounded and
+so the same in any order. No Coloring is built here; that class serves
+the dominating set engine.
 
 The walk takes each MIS as the mask enumerate_mis's generator holds
 (Tsukiyama et al. 1977), which tests each child with bit operations: the
@@ -161,29 +165,31 @@ def _singles(adj: list[int], black: int) -> list[int] | None:
     return singles
 
 
-def _matched(g: Graph, adj: list[int], black: int) -> list[int]:
+def _matched(g: Graph, kept: list[int], adj: list[int], black: int) -> list[int]:
     """The ids of the edges between paired blacks, by lower endpoint, once
-    _singles has passed the black mask."""
+    _singles has passed the black mask; bit i of the masks is the vertex
+    kept[i] of g."""
     ids = []
     for v in _members(black):
         u = (adj[v] & black).bit_length() - 1
         if u > v:
-            ids.append(g.edge_id(v, u))
+            ids.append(g.edge_id(kept[v], kept[u]))
     return ids
 
 
-def _pair_options(g: Graph) -> list[tuple[tuple[float, int, int], ...]]:
-    """Each vertex's neighbors of degree 1 as (weight, vertex, edge id),
-    cheapest first: the partners it may take when it is a single."""
-    adjacency = g.adjacency
+def _pair_options(g: Graph, kept: list[int]) -> list[tuple[tuple[float, int, int], ...]]:
+    """Each kept vertex's neighbors of degree 1 as (weight, vertex, edge
+    id), cheapest first: the partners it may take when it is a single."""
+    adj = g.adjacency
     return [
-        tuple(sorted([(g.edges[eid][2], u, eid) for u, eid in nbrs if len(adjacency[u]) == 1]))
-        for nbrs in adjacency
+        tuple(sorted([(g.edges[eid][2], u, eid) for u, eid in adj[v] if len(adj[u]) == 1]))
+        for v in kept
     ]
 
 
 def _walk(g: Graph) -> CountResult:
-    """The one pass over every maximal independent set.
+    """The one pass over every maximal independent set of g without its
+    isolated vertices and isolated edges.
 
     Counts every DIM, keeps the first cheapest one found as the witness
     (each single takes its first, cheapest option), and counts the DIMs
@@ -191,12 +197,18 @@ def _walk(g: Graph) -> CountResult:
     weight, which give the same multiset of edge weights. Its stats count
     the sets walked and those that completed.
     """
-    adj = _adjacency_masks(g)
-    everyone = (1 << g.n) - 1
-    pair_options = _pair_options(g)
+    adjacency = g.adjacency
+    kept = g.core_vertices()
+    index = [-1] * g.n
+    for i, v in enumerate(kept):
+        index[v] = i
+    adj = [sum([1 << index[u] for u, _ in adjacency[v]]) for v in kept]
+    isolated = [eid for eid, (u, _, _) in enumerate(g.edges) if index[u] < 0]
+    everyone = (1 << len(kept)) - 1
+    pair_options = _pair_options(g, kept)
     best: Dim | None = None
     total = min_count = mis_count = completions = 0
-    for white in _maximal_sets(g.n, adj):
+    for white in _maximal_sets(len(kept), adj):
         mis_count += 1
         black = everyone & ~white
         singles = _singles(adj, black)
@@ -207,7 +219,7 @@ def _walk(g: Graph) -> CountResult:
             continue
         completions += 1
         total += math.prod(map(len, options))
-        dim = g.dim(_matched(g, adj, black) + [opts[0][2] for opts in options])
+        dim = g.dim(_matched(g, kept, adj, black) + isolated + [opts[0][2] for opts in options])
         ties = math.prod(sum(1 for w, _, _ in opts if w == opts[0][0]) for opts in options)
         # strict: ties keep the earliest MIS
         if best is None or dim.weight < best.weight:
@@ -221,7 +233,7 @@ def _walk(g: Graph) -> CountResult:
 
 
 def solve_mis(g: Graph) -> SolveOutcome:
-    """Minimum-weight DIM of a preprocessed graph via MIS enumeration."""
+    """Minimum-weight DIM of g via MIS enumeration."""
     res = _walk(g)
     if res.witness is not None and not validate_dim(g, res.witness.edge_ids):
         raise ContractViolation("solver produced an edge set that fails validation")
@@ -229,16 +241,7 @@ def solve_mis(g: Graph) -> SolveOutcome:
 
 
 def count_dims(g: Graph) -> CountResult:
-    """Count all DIMs of a preprocessed graph and the multiplicity at the
-    minimum weight; stats is the walk's record, as solve_mis returns it.
-
-    Requires a graph without isolated edges (preprocessing guarantees it);
-    with one, a DIM's white side would sit inside two maximal independent
-    sets and completions would be double counted.
-    """
-    for u, v, _ in g.edges:
-        if g.degree(u) == 1 and g.degree(v) == 1:
-            raise ValueError(
-                f"graph has an isolated edge {u}-{v}; preprocess before counting"
-            )
+    """Count all DIMs of g and the multiplicity at the minimum weight;
+    stats is the walk's record, as solve_mis returns it. Any graph will
+    do: isolated edges are counted once, in every DIM."""
     return _walk(g)

@@ -133,20 +133,39 @@ def reference_induced_coloring(g: Graph, independent: Iterable[int]) -> InducedC
     return InducedColoring(True, matched, singles, options)
 
 
+def strip_trivial(g: Graph) -> tuple[Graph, list[int], list[int]]:
+    """g without its isolated vertices and isolated edges, the rest
+    renumbered in order; the ids in g of the stripped graph's edges, in
+    order; and the ids of g's isolated edges. The DIMs of g are those of
+    the stripped graph, each plus every isolated edge."""
+    kept = [
+        v for v in range(g.n)
+        if g.degree(v) > 1 or any(g.degree(u) > 1 for u, _ in g.adjacency[v])
+    ]
+    new = {v: i for i, v in enumerate(kept)}
+    core_ids = [eid for eid, (u, _, _) in enumerate(g.edges) if u in new]
+    isolated = [eid for eid, (u, _, _) in enumerate(g.edges) if u not in new]
+    core = graph(len(kept), [(new[u], new[v], w) for u, v, w in (g.edges[e] for e in core_ids)])
+    return core, core_ids, isolated
+
+
 def reference_count(g: Graph) -> CountResult:
     """What count_dims must return, witness and stats included: the walk
-    over reference_mis with reference_induced_coloring per set."""
+    over reference_mis of strip_trivial(g) with reference_induced_coloring
+    per set, each DIM weighed on g with every isolated edge added."""
+    core, core_ids, isolated = strip_trivial(g)
     best = None
     total = min_count = mis_count = completions = 0
-    for mis in reference_mis(g):
+    for mis in reference_mis(core):
         mis_count += 1
-        ic = reference_induced_coloring(g, mis)
+        ic = reference_induced_coloring(core, mis)
         options = [ic.pair_options[s] for s in ic.singles]
         if not ic.valid or not all(options):
             continue
         completions += 1
         total += math.prod(len(opts) for opts in options)
-        dim = g.dim([*ic.matched, *(opts[0][2] for opts in options)])
+        chosen = [*ic.matched, *(opts[0][2] for opts in options)]
+        dim = g.dim([*(core_ids[e] for e in chosen), *isolated])
         ties = math.prod(sum(1 for w, _, _ in opts if w == opts[0][0]) for opts in options)
         if best is None or dim.weight < best.weight:
             best, min_count = dim, ties

@@ -24,7 +24,6 @@ from dimsolver import (
     find_dominating_set,
     gen_instance,
     parse_graph,
-    preprocess,
     serialize_graph,
     solve_domset,
     solve_instance,
@@ -40,6 +39,7 @@ from support import (
     graph,
     random_corpus,
     star,
+    strip_trivial,
 )
 
 CORPUS_SIZE = 512
@@ -56,31 +56,24 @@ def _report(label, detail):
 def test_solvers_match_oracle_everywhere():
     """Both exact solvers, the counter and the front door's count agree
     with brute force on 512 seeded random graphs (n 2..9, densities
-    .2/.4/.6/.8, weights 1..10); the front door counts on the whole graph,
-    forced isolated edges included."""
+    .2/.4/.6/.8, weights 1..10), isolated vertices and edges included."""
     checked = 0
     for g in corpus():
-        whole = brute_solve(g)
-        counted = count_instance(g)
-        assert (counted.total, counted.min_weight, counted.min_count) == (
-            whole.total, whole.min_weight, whole.min_count
-        )
-        res = preprocess(g).residual
-        want = brute_solve(res)
-        dom = solve_domset(res)
-        mis = solve_mis(res)
-        have = count_dims(res)
+        want = brute_solve(g)
+        dom = solve_domset(g)
+        mis = solve_mis(g)
         if want.total == 0:
             assert dom.dim is None, "domset found a DIM the oracle rules out"
             assert mis.dim is None, "mis found a DIM the oracle rules out"
         else:
             assert dom.dim is not None and dom.dim.weight == want.min_weight
             assert mis.dim is not None and mis.dim.weight == want.min_weight
-            assert validate_dim(res, dom.dim.edge_ids)
-            assert validate_dim(res, mis.dim.edge_ids)
-        assert have.total == want.total
-        assert have.min_weight == want.min_weight
-        assert have.min_count == want.min_count
+            assert validate_dim(g, dom.dim.edge_ids)
+            assert validate_dim(g, mis.dim.edge_ids)
+        for have in (count_dims(g), count_instance(g)):
+            assert have.total == want.total
+            assert have.min_weight == want.min_weight
+            assert have.min_count == want.min_count
         checked += 1
     assert checked == CORPUS_SIZE
     _report(
@@ -137,14 +130,11 @@ def test_solvers_match_oracle_on_decimal_gadget_unions():
     _report("decimal oracle equivalence", "600 gadget unions, weights bit-equal")
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="ROADMAP item 8: exact decimal weights"
-)
 def test_near_tie_across_forced_edges_counts_like_the_oracle():
-    """Two residual DIMs sum to 0.8999999999999999 and 0.9, and both
-    totals round to 5.9 once the forced edges are added, so the oracle
-    counts two at the minimum. The counter compares the residual sums and
-    counts one."""
+    """Without the isolated edges 6-7 and 8-9, two DIMs sum to
+    0.8999999999999999 and 0.9; with them both totals round to 5.9, so
+    the oracle counts two at the minimum. The counter weighs whole DIMs
+    and counts two as well."""
     g = graph(
         10,
         [(0, 1, 0.9), (0, 5, 0.7), (1, 2, 0.4), (2, 3, 0.2), (3, 4, 0.7), (4, 5, 0.5),
@@ -154,6 +144,23 @@ def test_near_tie_across_forced_edges_counts_like_the_oracle():
     res = count_instance(g)
     assert (res.total, res.min_weight) == (want.total, want.min_weight)
     assert res.min_count == want.min_count == 2
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 8: exact decimal weights"
+)
+def test_rounding_tie_within_one_independent_set_counts_like_the_oracle():
+    """The DIMs {0-1, 4-5} and {0-2, 4-5} both sum to 1.0, since
+    1.0 + 1e-17 rounds to 1.0, so the oracle counts two at the minimum.
+    Both come from one maximal independent set, where the walk counts as
+    ties only the options of the single 0 that weigh the same; 0.0 and
+    1e-17 do not, so it counts one."""
+    g = graph(6, [(0, 1, 0.0), (0, 2, 1e-17), (0, 3, 1.0), (3, 4, 5.0), (4, 5, 1.0)])
+    want = brute_solve(g)
+    res = count_instance(g)
+    assert (res.total, res.min_weight) == (want.total, want.min_weight) == (2, 1.0)
+    assert res.min_count == want.min_count == 2
+
 
 def test_golden_instances():
     """Hand-checked instances pin both solvers and the counter."""
@@ -184,11 +191,21 @@ def test_branch_leaves_within_guarantee():
     min(|D|, ceil(n/3)); checked on every corpus instance."""
     roots_total = 0
     for g in corpus():
-        res = preprocess(g).residual
-        out = solve_domset(res)
-        st = out.stats
-        cap = min(st.dominating_set_size, (res.n + 2) // 3)
-        assert st.roots_explored <= 2 ** st.dominating_set_size
+        # isolated vertices and edges put vertices in D but are colored
+        # before the search, so they add no node, root, leaf or single and
+        # the caps are those of g without them
+        core = strip_trivial(g)[0]
+        st = solve_domset(g).stats
+        ref = solve_domset(core).stats
+        assert (
+            st.search_nodes, st.roots_explored, st.branch_leaves_per_root,
+            st.residual_singles_per_root,
+        ) == (
+            ref.search_nodes, ref.roots_explored, ref.branch_leaves_per_root,
+            ref.residual_singles_per_root,
+        )
+        cap = min(ref.dominating_set_size, (core.n + 2) // 3)
+        assert st.roots_explored <= 2 ** ref.dominating_set_size
         for leaves, q in zip(
             st.branch_leaves_per_root, st.residual_singles_per_root
         ):

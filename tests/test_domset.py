@@ -16,12 +16,12 @@ from dimsolver import (
     BLACK,
     Coloring,
     ContractViolation,
+    Dim,
     DotTracer,
     WHITE,
     brute_solve,
     classify_parts,
     find_dominating_set,
-    preprocess,
     solve_domset,
     validate_dim,
 )
@@ -190,27 +190,30 @@ def test_search_raises_past_the_leaf_ceiling(monkeypatch):
 
 
 def test_search_raises_past_the_singles_ceiling():
-    # three stars with black centers; D = [0] caps q at min(|D|, ceil(n/3)) = 1
-    g = graph(12, [(c, c + i, 1.0) for c in (0, 4, 8) for i in (1, 2, 3)])
+    # three stars with black centers; D = [0] caps q at min(|D|, ceil(n/3)) = 1.
+    # The isolated vertices 12-17 in D leave the cap as it is: |D| and n
+    # count only the vertices in components of three or more
+    g = graph(18, [(c, c + i, 1.0) for c in (0, 4, 8) for i in (1, 2, 3)])
     col = Coloring(g)
     for c in (0, 4, 8):
         assert col.set_black(c)
+    for v in range(12, 18):
+        assert col.set_white(v)
     assert col.propagate().stable
     with pytest.raises(ContractViolation, match=r"singles after reduce=3 > min\(\|D\|, ceil\(n/3\)\)=1"):
-        _search(col, [0], None, None)
+        _search(col, [0, *range(12, 18)], None, None)
 
 
 def test_oracle_agreement():
     for g in random_corpus(150, seed=29):
-        res = preprocess(g).residual
-        want = brute_solve(res)
-        out = solve_domset(res)
+        want = brute_solve(g)
+        out = solve_domset(g)
         if want.total == 0:
             assert out.dim is None
         else:
             assert out.dim is not None
             assert out.dim.weight == want.min_weight
-            assert validate_dim(res, out.dim.edge_ids)
+            assert validate_dim(g, out.dim.edge_ids)
 
 
 def test_rejects_non_dominating_set():
@@ -379,9 +382,18 @@ def test_complete_graphs():
 
 
 def test_isolated_vertices_are_fine_without_preprocess():
-    g = graph(5, [(1, 2, 4.0), (2, 3, 1.0)])
+    # the isolated vertices 0 and 4 and the isolated edge 5-6 each put one
+    # vertex in D, colored before the search starts: the search has the
+    # two nodes and the one root and leaf of the path 1-2-3 alone
+    g = graph(7, [(1, 2, 4.0), (2, 3, 1.0), (5, 6, 2.0)])
     out = solve_domset(g)
-    assert out.dim is not None and out.dim.weight == 1.0
+    assert out.dim == Dim(frozenset({1, 2}), 3.0)
+    st = out.stats
+    assert (st.dominating_set_size, st.search_nodes) == (4, 2)
+    assert st.search_nodes == solve_domset(path([4.0, 1.0])).stats.search_nodes
+    assert (st.roots_explored, st.branch_leaves_per_root, st.residual_singles_per_root) == (
+        1, (1,), (1,)
+    )
 
 
 def test_resolve_branches_without_recursion():

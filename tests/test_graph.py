@@ -1,4 +1,4 @@
-"""Graph construction, file format, preprocessing, and the DIM validator."""
+"""Graph construction, file format, and the DIM validator."""
 
 import math
 
@@ -7,15 +7,13 @@ from hypothesis import given, strategies as st
 
 import dimsolver.cli as cli
 from dimsolver import (
-    Dim,
     Graph,
     GraphFormatError,
     parse_graph,
-    preprocess,
     serialize_graph,
     validate_dim,
 )
-from support import C4_UNIT, P4_527, graph, random_corpus
+from support import C4_UNIT, P4_527, graph
 
 
 def test_edges_normalized_and_indexed():
@@ -202,57 +200,6 @@ def test_serialize_parse_is_identity(instance):
         assert parsed == g
         assert (parsed.n, parsed.edges, parsed.adjacency) == (g.n, g.edges, g.adjacency)
 
-
-def test_preprocess_splits_trivial_components():
-    #  0 isolated; 1-2 isolated edge; 3-4-5 path
-    g = graph(6, [(1, 2, 5.0), (3, 4, 2.0), (4, 5, 7.0)])
-    pre = preprocess(g)
-    assert pre.forced_edges == (0,)
-    assert pre.residual.n == 3 and pre.residual.m == 2
-    assert pre.edge_to_original == (1, 2)
-    # residual DIM {cheap edge} lifts to original ids with forced edge merged;
-    # the weight is summed from the edges, not taken from the residual DIM
-    lifted = pre.original_dim(Dim(frozenset({0}), 0.0))
-    assert lifted.weight == 7.0
-    assert lifted.edge_ids == {0, 1}
-
-
-def test_preprocess_idempotent():
-    for g in random_corpus(40, seed=9):
-        pre = preprocess(g)
-        again = preprocess(pre.residual)
-        assert again.residual is pre.residual
-        assert again.forced_edges == ()
-
-
-def test_preprocess_returns_the_input_when_nothing_is_stripped():
-    for g in (P4_527, C4_UNIT, Graph(0, ())):
-        pre = preprocess(g)
-        assert pre.residual is g
-        assert pre.forced_edges == ()
-        assert pre.edge_to_original == tuple(range(g.m))
-
-
-def test_preprocess_residual_matches_the_public_constructor():
-    stripped = 0
-    for g in random_corpus(120, seed=31):
-        pre = preprocess(g)
-        # the vertices of components with three or more vertices
-        kept = [
-            v for v in range(g.n)
-            if g.degree(v) > 1 or any(g.degree(u) > 1 for u, _ in g.adjacency[v])
-        ]
-        fwd = {old: new for new, old in enumerate(kept)}
-        want = Graph(
-            len(kept),
-            tuple((fwd[u], fwd[v], w) for u, v, w in g.edges if u in fwd and v in fwd),
-        )
-        res = pre.residual
-        assert (res.n, res.edges, res.adjacency) == (want.n, want.edges, want.adjacency)
-        mapped = [g.edges[e] for e in pre.edge_to_original]
-        assert [(fwd[u], fwd[v], w) for u, v, w in mapped] == list(res.edges)
-        stripped += res is not g
-    assert 0 < stripped < 120
 
 def test_validate_dim_golden():
     assert validate_dim(P4_527, {1})

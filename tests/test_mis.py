@@ -9,13 +9,13 @@ import dimsolver.mis
 from dimsolver import (
     ContractViolation,
     CountResult,
+    Dim,
     Graph,
     brute_mis,
     brute_solve,
     count_dims,
     enumerate_mis,
     gen_instance,
-    preprocess,
     solve_domset,
     solve_mis,
     validate_dim,
@@ -44,15 +44,16 @@ from support import (
 def walk_reduction(g, independent):
     """What the count walk makes of one MIS, from the helpers it calls:
     _singles on the black complement, then _matched and the singles'
-    _pair_options."""
+    _pair_options, with every vertex of g kept under its own id."""
     adj = _adjacency_masks(g)
+    kept = list(range(g.n))
     black = ((1 << g.n) - 1) & ~sum(1 << v for v in independent)
     singles = _singles(adj, black)
     if singles is None:
         return InducedColoring(False, (), (), {})
-    options = _pair_options(g)
+    options = _pair_options(g, kept)
     return InducedColoring(
-        True, tuple(_matched(g, adj, black)), tuple(singles), {s: options[s] for s in singles}
+        True, tuple(_matched(g, kept, adj, black)), tuple(singles), {s: options[s] for s in singles}
     )
 
 
@@ -113,8 +114,7 @@ def test_mask_reduction_matches_the_coloring_reference():
     for g in [*random_corpus(512, seed=53), *dense, *planted]:
         for mis in enumerate_mis(g):
             assert walk_reduction(g, mis) == reference_induced_coloring(g, mis)
-        res = preprocess(g).residual
-        got, want = count_dims(res), reference_count(res)
+        got, want = count_dims(g), reference_count(g)
         assert got == want
         assert got.witness == want.witness
         assert got.stats == want.stats
@@ -217,22 +217,29 @@ def test_count_goldens():
     assert (res.total, res.min_weight, res.min_count) == (0, None, 0)
 
 
-def test_count_rejects_isolated_edges():
-    with pytest.raises(ValueError):
-        count_dims(graph(2, [(0, 1, 3.0)]))
+def test_count_takes_isolated_edges_once():
+    # each white end of the isolated edge 4-5 would hold the same DIMs
+    g = graph(7, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 3.0), (4, 5, 5.0)])
+    want = brute_solve(g)
+    res = count_dims(g)
+    assert (res.total, res.min_weight, res.min_count) == (
+        want.total, want.min_weight, want.min_count
+    )
+    assert res.witness == Dim(frozenset({1, 3}), 6.0)
+    assert res.stats.mis_count == 3
+    assert count_dims(graph(2, [(0, 1, 3.0)])) == CountResult(1, 3.0, 1)
 
 
 def test_oracle_agreement_including_counts():
     for g in random_corpus(150, seed=47):
-        res = preprocess(g).residual
-        want = brute_solve(res)
-        out = solve_mis(res)
+        want = brute_solve(g)
+        out = solve_mis(g)
         if want.total == 0:
             assert out.dim is None
         else:
             assert out.dim is not None and out.dim.weight == want.min_weight
-            assert validate_dim(res, out.dim.edge_ids)
-        got = count_dims(res)
+            assert validate_dim(g, out.dim.edge_ids)
+        got = count_dims(g)
         assert got.total == want.total
         assert got.min_weight == want.min_weight
         assert got.min_count == want.min_count

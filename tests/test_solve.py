@@ -1,6 +1,7 @@
 """Engine dispatch and end-to-end orchestration over raw input graphs."""
 
 import io
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,6 @@ from dimsolver import (
     count_instance,
     gen_instance,
     parse_graph,
-    preprocess,
     solve_domset,
     solve_instance,
     validate_dim,
@@ -50,11 +50,11 @@ def test_auto_runs_domset_on_tiny_dominating_sets():
 
 
 def test_auto_runs_domset_on_spread_graphs():
-    # cycles with |D| = n/2, and a lone edge that preprocessing removes
+    # cycles with |D| = n/2, and a lone edge
     for g in (cycle([1.0] * 12), cycle([1.0, 2.0, 3.0] * 10), graph(2, [(0, 1, 2.0)])):
         r = solve_instance(g, algo="auto")
         assert r.stats.engine == "domset"
-        assert r.stats == solve_domset(preprocess(g).residual).stats
+        assert r == solve_domset(g)
         assert r.dim.weight == solve_instance(g, algo="mis").dim.weight
         assert r.stats.search_nodes <= 2 * g.n
 
@@ -95,7 +95,6 @@ def test_count_instance_offsets_forced_weight():
 
 
 def test_counting_survives_what_would_be_an_isolated_edge():
-    # the counter itself refuses isolated edges; the front door must not
     res = count_instance(graph(2, [(0, 1, 3.0)]))
     assert (res.total, res.min_weight, res.min_count) == (1, 3.0, 1)
 
@@ -122,7 +121,7 @@ def test_no_dim_reported_as_none_everywhere():
                 unique_by=lambda t: tuple(sorted(t[:2])),
                 max_size=n * (n - 1) // 2,
             ),
-            # the weights of 0-2 isolated edges, which preprocessing forces
+            # the weights of 0-2 isolated edges, which every DIM contains
             st.lists(st.integers(0, 999), max_size=2),
         )
     )
@@ -151,10 +150,11 @@ def test_reports_which_algorithm_ran():
 
 def test_engine_counters_are_pinned():
     # the counters are machine-free, so a change to either engine's work
-    # shows here; the forced edge 1-2 is summed into the weight
+    # shows here; the isolated edge 1-2 puts a vertex in D, adds no root,
+    # leaf or walked set, and is summed into the weight
     pinned = [  # (graph, |D|, roots, leaves, sets walked, weight)
         (gen_instance("cycle", 4), 2, 0, 0, 2, None),
-        (parse_graph("p dim 5 3\ne 1 2 5\ne 3 4 1\ne 4 5 2\n"), 1, 1, 1, 2, 6.0),
+        (parse_graph("p dim 5 3\ne 1 2 5\ne 3 4 1\ne 4 5 2\n"), 2, 1, 1, 2, 6.0),
         (gen_instance("path", 4, weights="uniform:1:9"), 2, 1, 1, 3, 7.0),
         (gen_instance("path", 5, weights="uniform:1:9"), 2, 1, 1, 4, 12.0),
         (gen_instance("path", 6, weights="uniform:1:9"), 3, 2, 2, 5, 12.0),
@@ -216,7 +216,7 @@ def test_dim_free_random_graph_counts_like_the_walk():
     g = gen_instance("random", 60, p=0.3)
     res = count_instance(g)
     assert (res.total, res.min_weight, res.min_count) == (0, None, 0)
-    assert res == count_dims(preprocess(g).residual)
+    assert res == count_dims(g)
 
 
 def test_count_walk_and_search_must_agree(monkeypatch, capsys):
@@ -243,8 +243,8 @@ def test_count_witness_must_be_a_dim_of_the_input(monkeypatch, capsys):
     g = path([1.0, 1.0, 1.0])
     real = dimsolver.solve.count_dims
 
-    def wrong_witness(residual):
-        res = real(residual)
+    def wrong_witness(instance):
+        res = real(instance)
         return replace(res, witness=Dim(frozenset({0}), res.min_weight))
 
     monkeypatch.setattr(dimsolver.solve, "count_dims", wrong_witness)
@@ -367,6 +367,52 @@ def test_long_path_and_cycles_within_budget(default_recursion_limit):
 
     # C10000: 10000 is not a multiple of 3, so there is no DIM
     assert _timed_auto(cycle(weights + [1.0])).dim is None
+
+
+def test_trivial_components_within_budget():
+    # 10000 isolated edges, then 10000 isolated vertices: the walk leaves
+    # them all out, where g itself has 2^10000 maximal independent sets,
+    # and the search meets one root
+    k = 10000
+    g = graph(3 * k, [(2 * i, 2 * i + 1, float(i % 7 + 1)) for i in range(k)])
+    weight = math.fsum(w for _, _, w in g.edges)
+    for algo in ALL_ALGOS:
+        t0 = time.perf_counter()
+        r = solve_instance(g, algo=algo)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 2.0, f"{algo} took {elapsed:.2f}s"
+        assert r.dim == Dim(frozenset(range(k)), weight)
+        if algo == "auto":
+            assert r.stats.roots_explored == 1
+        else:
+            assert r.stats.mis_count == 1
+    t0 = time.perf_counter()
+    res = count_instance(g)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"count took {elapsed:.2f}s"
+    assert (res.total, res.min_weight, res.min_count) == (1, weight, 1)
+    assert res.stats.mis_count == 1
+
+
+def test_trivial_components_before_many_roots_within_budget():
+    # 1000 isolated vertices and 1000 isolated edges numbered before six
+    # disjoint 6-cycles, whose search meets 3^6 roots: the search colors
+    # the trivial components once, before it starts, so it visits the
+    # nodes of the cycles alone rather than recoloring them under every
+    # root
+    k, copies = 1000, 6
+    edges = [(k + 2 * i, k + 2 * i + 1, 1.0) for i in range(k)]
+    base = 3 * k
+    for c in range(copies):
+        edges += [(base + 6 * c + i, base + 6 * c + (i + 1) % 6, 1.0) for i in range(6)]
+    g = graph(base + 6 * copies, edges)
+    cycles = graph(6 * copies, [(u - base, v - base, w) for u, v, w in edges[k:]])
+    r = _timed_auto(g)
+    ref = solve_instance(cycles, algo="auto").stats
+    assert r.dim.weight == k + 2.0 * copies
+    assert r.stats.roots_explored == ref.roots_explored == 3 ** copies
+    assert r.stats.search_nodes == ref.search_nodes
+    assert r.stats.dominating_set_size == ref.dominating_set_size + 2 * k
 
 
 def test_disjoint_forced_center_gadgets_within_budget():
