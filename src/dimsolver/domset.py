@@ -218,7 +218,8 @@ def _search(
 ) -> SolveOutcome:
     """The search of solve_domset below col, a stable coloring; the
     vertices of the sorted dominating set d_sorted that col leaves
-    uncolored are assigned, the others keep their colors."""
+    uncolored are assigned, the others keep their colors and are never
+    stepped over. Root indices, stats and caps cover all of d_sorted."""
     g = col.graph
     state = col.state
     trace_top = (
@@ -235,13 +236,15 @@ def _search(
     d_core = sum(1 for v in d_sorted if v in core)
     bound = min(d_core, (len(core) + 2) // 3)
     q: int | None = None
+    todo = [v for v in d_sorted if state[v] == UNCOLORED]
 
-    # Entries are (index in D of the vertex to color, or -1 below a root;
-    # that vertex; its color, or None for the start; trail mark to undo to
-    # first; parent trace node). D is assigned from its last vertex to its
-    # first, white before black, so roots arrive in increasing root order.
+    # Entries are (index in todo of the vertex to color, or -1 below a
+    # root; that vertex; its color, or None for the start; trail mark to
+    # undo to first; parent trace node). todo is assigned from its last
+    # vertex to its first, white before black, so roots arrive in
+    # increasing root order.
     stack: list[tuple[int, int, int | None, int, object]] = [
-        (len(d_sorted), -1, None, col.mark(), trace_top)
+        (len(todo), -1, None, col.mark(), trace_top)
     ]
     while stack:
         k, v, color, mark, node = stack.pop()
@@ -263,12 +266,12 @@ def _search(
 
         if note is None and k >= 0:
             k -= 1
-            while k >= 0 and state[d_sorted[k]] != UNCOLORED:
+            while k >= 0 and state[todo[k]] != UNCOLORED:
                 k -= 1
             if k >= 0:
                 mark = col.mark()
-                stack.append((k, d_sorted[k], BLACK, mark, node))
-                stack.append((k, d_sorted[k], WHITE, mark, node))
+                stack.append((k, todo[k], BLACK, mark, node))
+                stack.append((k, todo[k], WHITE, mark, node))
                 continue
             # a complete assignment of D that propagated stably
             if tracer:

@@ -11,7 +11,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from dimsolver import ContractViolation, CountResult, Graph, SolveStats
 from dimsolver.coloring import NO_PAIR, Coloring
@@ -65,9 +65,10 @@ def random_corpus(
 
 
 def reference_mis(g: Graph) -> Iterator[frozenset[int]]:
-    """Every maximal independent set, in the order enumerate_mis must
-    yield them: the vertex-by-vertex extension with the canonical-parent
-    check written as two loops over all earlier vertices."""
+    """Every maximal independent set exactly once, the sets enumerate_mis
+    must yield in any order: Tsukiyama et al.'s vertex-by-vertex
+    extension, with the canonical-parent check written as two loops over
+    all earlier vertices."""
     adj = [0] * g.n
     for u, v, _ in g.edges:
         adj[u] |= 1 << v
@@ -150,14 +151,18 @@ def strip_trivial(g: Graph) -> tuple[Graph, list[int], list[int]]:
     return core, core_ids, isolated
 
 
-def reference_count(g: Graph) -> CountResult:
-    """What count_dims must return, witness and stats included: the walk
-    over reference_mis of strip_trivial(g) with reference_induced_coloring
-    per set, each DIM weighed on g with every isolated edge added."""
+def reference_count(
+    g: Graph, sets: Callable[[Graph], Iterable[Iterable[int]]] = reference_mis
+) -> CountResult:
+    """What count_dims must return, stats included: the walk over sets of
+    strip_trivial(g), each reduced by reference_induced_coloring and its
+    DIM weighed on g with every isolated edge added. The witness is the
+    first cheapest DIM in the order of sets, so it is count_dims's when
+    sets is enumerate_mis."""
     core, core_ids, isolated = strip_trivial(g)
     best = None
     total = min_count = mis_count = completions = 0
-    for mis in reference_mis(core):
+    for mis in sets(core):
         mis_count += 1
         ic = reference_induced_coloring(core, mis)
         options = [ic.pair_options[s] for s in ic.singles]

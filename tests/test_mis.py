@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import dimsolver.mis
 from dimsolver import (
     ContractViolation,
     CountResult,
@@ -17,7 +16,8 @@ from dimsolver import (
     validate_dim,
 )
 from dimsolver.mis import (
-    _adjacency_masks, _matched, _pair_options, _singles, count_dims, enumerate_mis, solve_mis,
+    _adjacency_masks, _matched, _maximal_sets, _pair_options, _singles, count_dims, enumerate_mis,
+    solve_mis,
 )
 from dimsolver.oracle import brute_mis
 from support import (
@@ -31,7 +31,6 @@ from support import (
     complete,
     graph,
     is_bipartite,
-    path,
     random_corpus,
     random_graph,
     reference_count,
@@ -82,22 +81,20 @@ def test_enumeration_count_ceiling():
             assert mu <= 2 ** ((g.n + 1) // 2)
 
 
-def test_enumeration_order_matches_the_two_loop_reference():
-    # the first cheapest set becomes the witness, so a reordering would
-    # change what solve --algo mis prints on ties
+def test_enumeration_matches_the_two_loop_reference():
+    # dense graphs, graphs of 17-19, 24 and 70 vertices (masks past a
+    # machine word), and a path through every 97th of 1,024 and 1,025
+    # vertices, the rest isolated and so in every set
     rng = random.Random(59)
     dense = [random_graph(rng, n, 0.35) for n in (30, 36, 40, 44)]
-    # both ways of computing A's neighbors: either side of and at each end
-    # of _TABLE_SIZES, a partial last run of 8 vertices and a full one, and
-    # masks past a machine word
-    lo, hi = dimsolver.mis._TABLE_SIZES.start, dimsolver.mis._TABLE_SIZES.stop
     rng = random.Random(61)
-    near_lo = [random_graph(rng, n, 0.35) for n in (lo - 1, lo, lo + 1, 24)]
+    mid = [random_graph(rng, n, 0.35) for n in (17, 18, 19, 24)]
     wide = random_graph(rng, 70, 0.6)
-    # a path through every 97th vertex, the rest isolated and so in every set
-    near_hi = [graph(n, [(v, v + 97, 1.0) for v in range(0, n - 97, 97)]) for n in (hi - 1, hi)]
-    for g in [*random_corpus(512, seed=53, n_lo=2, n_hi=14), *dense, *near_lo, wide, *near_hi]:
-        assert list(enumerate_mis(g)) == list(reference_mis(g))
+    sparse = [graph(n, [(v, v + 97, 1.0) for v in range(0, n - 97, 97)]) for n in (1024, 1025)]
+    for g in [*random_corpus(512, seed=53, n_lo=2, n_hi=14), *dense, *mid, wide, *sparse]:
+        got = list(enumerate_mis(g))
+        assert len(got) == len(set(got)), "stream must be duplicate-free"
+        assert set(got) == set(reference_mis(g))
 
 
 def test_mask_reduction_matches_the_coloring_reference():
@@ -113,10 +110,16 @@ def test_mask_reduction_matches_the_coloring_reference():
     for g in [*random_corpus(512, seed=53), *dense, *planted]:
         for mis in enumerate_mis(g):
             assert walk_reduction(g, mis) == reference_induced_coloring(g, mis)
-        got, want = count_dims(g), reference_count(g)
-        assert got == want
-        assert got.witness == want.witness
-        assert got.stats == want.stats
+        got = count_dims(g)
+        assert got == reference_count(g)
+        # the same walk over enumerate_mis's sets in their order: its
+        # witness is the first cheapest DIM in that order
+        first = reference_count(g, enumerate_mis)
+        assert got.witness == first.witness
+        assert got.stats == first.stats
+        if got.witness is not None:
+            assert validate_dim(g, got.witness.edge_ids)
+            assert got.witness.weight == solve_domset(g).dim.weight
 
 
 def test_enumeration_scales_without_recursion():
@@ -167,12 +170,17 @@ def test_high_degree_members_never_turn_black():
     assert ic.pair_options == {0: (), 2: ((1.0, 3, 2),)}
 
 
-def test_enumeration_raises_past_the_ceiling(monkeypatch):
-    # with the canonical-parent test accepting every child, P6 would
-    # yield 13 sets, duplicates included, > 3^ceil(6/3) = 9
-    monkeypatch.setattr(dimsolver.mis, "_is_child", lambda adj, tables, cur, k: True)
+def test_enumeration_raises_past_the_ceiling():
+    # the pivot keeps the walk within 3^ceil(n/3) sets on any adjacency,
+    # so the fault is in n: the walk spans nine vertices, three disjoint
+    # triangles with 27 sets, while the ceiling is six's, 3^ceil(6/3) = 9
+    class SixSpanningNine(int):
+        def __rlshift__(self, one):  # the walk's (1 << n) - 1
+            return one << 9
+
+    triangles = graph(9, [(u + t, v + t, w) for t in (0, 3, 6) for u, v, w in complete(3).edges])
     with pytest.raises(ContractViolation, match=r"10 maximal independent sets > 3\^ceil\(n/3\) = 9"):
-        list(enumerate_mis(path([1.0] * 5)))
+        list(_maximal_sets(SixSpanningNine(6), _adjacency_masks(triangles)))
 
 
 def test_engines_report_the_same_bits():

@@ -415,6 +415,24 @@ def test_trivial_components_before_many_roots_within_budget():
     assert r.stats.dominating_set_size == ref.dominating_set_size + 2 * k
 
 
+def test_dense_mis_walk_within_budget():
+    # the planted_dense family at n = 60: both passes walk all 109,318
+    # maximal independent sets, one of which completes
+    g = gen_instance("random_dim", 60, seed=2, p=0.35, weights="uniform:1:9")
+    t0 = time.perf_counter()
+    res = count_instance(g)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"count took {elapsed:.2f}s"
+    assert (res.total, res.min_weight, res.min_count) == (1, 67.0, 1)
+    t0 = time.perf_counter()
+    r = solve_instance(g, algo="mis")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"mis took {elapsed:.2f}s"
+    assert r.dim == res.witness and validate_dim(g, r.dim.edge_ids)
+    for stats in (res.stats, r.stats):
+        assert (stats.mis_count, stats.completions) == (109318, 1)
+
+
 def test_disjoint_forced_center_gadgets_within_budget():
     # in each copy 0=W fails, and under 0=B the part {1, 2, 3} of the
     # single 0 is a star centered at 1: one root, 2000 forced parts, and
