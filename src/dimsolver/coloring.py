@@ -29,7 +29,6 @@ a separate query, singles().
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .graph import ContractViolation, Dim, Graph
@@ -117,27 +116,17 @@ class Coloring:
 
     # -- propagation ------------------------------------------------------
 
-    def propagate(self, rng: random.Random | None = None) -> PropagationResult:
+    def propagate(self) -> PropagationResult:
         """Run all rules to a fixpoint over the colorings made since the
-        last propagate.
-
-        rng, when given, permutes the not yet propagated suffix of the
-        trail as it is visited, so the rules fire in a random order; the
-        result does not depend on it. Only tests pass rng. A mark taken
-        inside that suffix would be invalidated, and none is: marks are
-        taken at fixpoints. Returns a non-stable result on a validity
-        break or a dead single, leaving the state dirty for the caller to
-        undo.
+        last propagate. Returns a non-stable result on a validity break or
+        a dead single, leaving the state dirty for the caller to undo.
         """
         trail = self._trail
         stable = True
         while stable and self._done < len(trail):
-            i = self._done
-            if rng is not None:
-                j = rng.randrange(i, len(trail))
-                trail[i], trail[j] = trail[j], trail[i]
-            self._done = i + 1
-            stable = self._visit(trail[i])
+            v = trail[self._done]
+            self._done += 1
+            stable = self._visit(v)
         return PropagationResult(stable=stable)
 
     def _visit(self, v: int) -> bool:

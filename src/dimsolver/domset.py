@@ -101,8 +101,8 @@ def classify_part(
     members: Sequence[int],
     part_of: dict[int, int],
 ) -> PartInfo:
-    """Classify N_U(single); part_of maps uncolored vertices to their
-    single.
+    """Classify N_U(single), whose vertices members lists in increasing
+    order; part_of maps uncolored vertices to their single.
 
     The induced edges form a star plus an independent set exactly when
     they all meet at one vertex, that is when the top degree t inside the
@@ -112,7 +112,7 @@ def classify_part(
     is an empty one, which has no top degree.
     """
     g = col.graph
-    members = tuple(sorted(members))
+    members = tuple(members)
     member_set = set(members)
     degrees: list[int] = []
     cross_edges: list[tuple[int, int, int]] = []
@@ -219,7 +219,10 @@ def _search(
     """The search of solve_domset below col, a stable coloring; the
     vertices of the sorted dominating set d_sorted that col leaves
     uncolored are assigned, the others keep their colors and are never
-    stepped over. Root indices, stats and caps cover all of d_sorted."""
+    stepped over. Root indices and stats cover all of d_sorted. The
+    2^|D| and min(|D|, ceil(n/3)) caps count only the vertices of D and
+    of g in components of three or more, whether col colored them or
+    not."""
     g = col.graph
     state = col.state
     trace_top = (
@@ -231,7 +234,6 @@ def _search(
     nodes = 0
     leaves_per_root: list[int] = []
     singles_per_root: list[int] = []
-    # the caps count only vertices in components of three or more
     core = set(g.core_vertices())
     d_core = sum(1 for v in d_sorted if v in core)
     bound = min(d_core, (len(core) + 2) // 3)

@@ -24,8 +24,7 @@ class serves the dominating set engine.
 The walk takes each MIS as the mask that _maximal_sets, a pivoting
 Bron-Kerbosch loop on bit masks, yields. It raises ContractViolation
 rather than yield more than the 3^ceil(n/3) maximal independent sets of
-Moon and Moser; enumerate_mis is the frozenset view of the same sets in
-the same order.
+Moon and Moser.
 """
 
 from __future__ import annotations
@@ -36,13 +35,6 @@ from typing import Iterator
 from .graph import (
     ContractViolation, CountResult, Dim, Graph, SolveOutcome, SolveStats, validate_dim,
 )
-
-
-def enumerate_mis(g: Graph) -> Iterator[frozenset[int]]:
-    """Yield every maximal independent set exactly once, as a frozenset;
-    the sets and their order are those of _maximal_sets."""
-    for white in _maximal_sets(g.n, _adjacency_masks(g)):
-        yield frozenset(_members(white))
 
 
 def _maximal_sets(n: int, adj: list[int]) -> Iterator[int]:
@@ -93,10 +85,6 @@ def _maximal_sets(n: int, adj: list[int]) -> Iterator[int]:
             stack.append((chosen | bit, allowed & ~closed[v], excluded & ~closed[v]))
             allowed ^= bit
             excluded |= bit
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    return [sum(1 << u for u, _ in nbrs) for nbrs in g.adjacency]
 
 
 def _members(mask: int) -> list[int]:

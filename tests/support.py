@@ -1,7 +1,9 @@
 """Shared builders for the test suite.
 
 Everything here is deliberately dumb: tests should depend on hand-written
-constructions, not on the code under test.
+constructions, not on the code under test. The exceptions are the two
+test-only views of engine code, mis_sets and ShuffledColoring, which
+drive it in ways no solver does.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from dimsolver import ContractViolation, CountResult, Graph, SolveStats
-from dimsolver.coloring import NO_PAIR, Coloring
+from dimsolver.coloring import NO_PAIR, Coloring, PropagationResult
+from dimsolver.mis import _maximal_sets, _members
 
 
 def graph(n: int, edges: Sequence[tuple[int, int, float]]) -> Graph:
@@ -64,15 +67,28 @@ def random_corpus(
         yield random_graph(rng, n, p)
 
 
-def reference_mis(g: Graph) -> Iterator[frozenset[int]]:
-    """Every maximal independent set exactly once, the sets enumerate_mis
-    must yield in any order: Tsukiyama et al.'s vertex-by-vertex
-    extension, with the canonical-parent check written as two loops over
-    all earlier vertices."""
+def adjacency_masks(g: Graph) -> list[int]:
+    """Bit v of entry u is set when u and v are adjacent."""
     adj = [0] * g.n
     for u, v, _ in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return adj
+
+
+def mis_sets(g: Graph) -> Iterator[frozenset[int]]:
+    """Every maximal independent set of g exactly once, as a frozenset, in
+    the order of the masks _maximal_sets yields over all of g."""
+    for white in _maximal_sets(g.n, adjacency_masks(g)):
+        yield frozenset(_members(white))
+
+
+def reference_mis(g: Graph) -> Iterator[frozenset[int]]:
+    """Every maximal independent set exactly once, the sets mis_sets must
+    yield in any order: Tsukiyama et al.'s vertex-by-vertex extension,
+    with the canonical-parent check written as two loops over all earlier
+    vertices."""
+    adj = adjacency_masks(g)
 
     def maximal_prefix(s: int, upto: int) -> bool:
         return all((s >> u) & 1 or adj[u] & s for u in range(upto))
@@ -158,7 +174,7 @@ def reference_count(
     strip_trivial(g), each reduced by reference_induced_coloring and its
     DIM weighed on g with every isolated edge added. The witness is the
     first cheapest DIM in the order of sets, so it is count_dims's when
-    sets is enumerate_mis."""
+    sets is mis_sets."""
     core, core_ids, isolated = strip_trivial(g)
     best = None
     total = min_count = mis_count = completions = 0
@@ -181,6 +197,31 @@ def reference_count(
     if best is None:
         return CountResult(0, None, 0, stats=stats)
     return CountResult(total, best.weight, min_count, best, stats)
+
+
+class ShuffledColoring(Coloring):
+    """A Coloring whose propagate visits the not yet visited suffix of the
+    trail in the order rng draws: it swaps a random entry of the suffix to
+    its front before each visit. The rules reach the same fixpoint in any
+    order, so the result must not depend on rng. Take marks at fixpoints
+    only: one taken inside the suffix would be invalidated."""
+
+    __slots__ = ("rng",)
+
+    def __init__(self, g: Graph, rng: random.Random):
+        super().__init__(g)
+        self.rng = rng
+
+    def propagate(self) -> PropagationResult:
+        trail = self._trail
+        stable = True
+        while stable and self._done < len(trail):
+            i = self._done
+            j = self.rng.randrange(i, len(trail))
+            trail[i], trail[j] = trail[j], trail[i]
+            self._done = i + 1
+            stable = self._visit(trail[i])
+        return PropagationResult(stable=stable)
 
 
 def path_dim_weight(weights: Sequence[float]) -> float | None:

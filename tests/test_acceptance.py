@@ -22,7 +22,7 @@ from dimsolver import (
 )
 from dimsolver.coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring
 from dimsolver.domset import find_dominating_set
-from dimsolver.mis import count_dims, enumerate_mis, solve_mis
+from dimsolver.mis import count_dims, solve_mis
 from dimsolver.oracle import brute_mis
 from support import (
     C4_UNIT,
@@ -30,7 +30,9 @@ from support import (
     K3_123,
     P4_527,
     STAR_419,
+    ShuffledColoring,
     graph,
+    mis_sets,
     random_corpus,
     star,
     strip_trivial,
@@ -290,13 +292,13 @@ def test_mis_enumeration_exact_and_bounded():
     never exceeds the 3^ceil(n/3) ceiling."""
     biggest = 0
     for g in corpus():
-        sets = list(enumerate_mis(g))
+        sets = list(mis_sets(g))
         assert len(sets) == len(set(sets)), "duplicate maximal set in stream"
         assert set(sets) == brute_mis(g)
         assert len(sets) <= 3 ** ((g.n + 2) // 3)
         biggest = max(biggest, len(sets))
     for g in random_corpus(64, seed=10, n_lo=10, n_hi=10):
-        sets = list(enumerate_mis(g))
+        sets = list(mis_sets(g))
         assert len(sets) == len(set(sets))
         assert set(sets) == brute_mis(g)
         assert len(sets) <= 3 ** 4
@@ -328,10 +330,10 @@ def test_propagation_is_order_independent():
 
         reference = None
         for order_seed in range(10):
-            col = Coloring(g)
+            col = ShuffledColoring(g, random.Random(order_seed))
             for v, color in moves:
                 assert col.set_color(v, color)
-            res = col.propagate(rng=random.Random(order_seed))
+            res = col.propagate()
             outcome = (
                 (True, bytes(col.state), tuple(col.mate(v) for v in range(g.n)))
                 if res.stable

@@ -11,7 +11,7 @@ import pytest
 from dimsolver import ContractViolation, brute_solve, validate_dim
 from dimsolver.coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring
 from dimsolver.domset import classify_parts
-from support import C6_UNIT, P4_527, STAR_419, path, random_corpus
+from support import C6_UNIT, P4_527, STAR_419, ShuffledColoring, path, random_corpus
 
 P3 = path([1.0, 1.0])
 
@@ -205,13 +205,11 @@ def test_classify_parts_requires_stability():
 def test_propagate_rng_orders_agree():
     # sanity slice of the confluence property (full sweep in acceptance)
     for g in random_corpus(30, seed=55, n_lo=3, n_hi=8):
-        base = Coloring(g)
-        base.set_black(0)
         reference = None
         for seed in range(6):
-            col = Coloring(g)
+            col = ShuffledColoring(g, random.Random(seed))
             col.set_black(0)
-            res = col.propagate(rng=random.Random(seed))
+            res = col.propagate()
             outcome = (res.stable, colors(col) if res.stable else None,
                        mates(col) if res.stable else None)
             if reference is None:

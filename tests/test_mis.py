@@ -15,10 +15,7 @@ from dimsolver import (
     solve_domset,
     validate_dim,
 )
-from dimsolver.mis import (
-    _adjacency_masks, _matched, _maximal_sets, _pair_options, _singles, count_dims, enumerate_mis,
-    solve_mis,
-)
+from dimsolver.mis import _matched, _maximal_sets, _pair_options, _singles, count_dims, solve_mis
 from dimsolver.oracle import brute_mis
 from support import (
     C4_UNIT,
@@ -28,9 +25,11 @@ from support import (
     P4_527,
     STAR_419,
     InducedColoring,
+    adjacency_masks,
     complete,
     graph,
     is_bipartite,
+    mis_sets,
     random_corpus,
     random_graph,
     reference_count,
@@ -43,7 +42,7 @@ def walk_reduction(g, independent):
     """What the count walk makes of one MIS, from the helpers it calls:
     _singles on the black complement, then _matched and the singles'
     _pair_options, with every vertex of g kept under its own id."""
-    adj = _adjacency_masks(g)
+    adj = adjacency_masks(g)
     kept = list(range(g.n))
     black = ((1 << g.n) - 1) & ~sum(1 << v for v in independent)
     singles = _singles(adj, black)
@@ -57,7 +56,7 @@ def walk_reduction(g, independent):
 
 def test_enumerates_exactly_the_maximal_sets():
     for g in random_corpus(200, seed=13, n_lo=2, n_hi=10):
-        got = list(enumerate_mis(g))
+        got = list(mis_sets(g))
         assert len(got) == len(set(got)), "stream must be duplicate-free"
         assert set(got) == brute_mis(g)
 
@@ -70,12 +69,12 @@ def test_enumeration_exhaustive_tiny():
             g = graph(
                 n, [(u, v, 1.0) for i, (u, v) in enumerate(pairs) if bits >> i & 1]
             )
-            assert set(enumerate_mis(g)) == brute_mis(g)
+            assert set(mis_sets(g)) == brute_mis(g)
 
 
 def test_enumeration_count_ceiling():
     for g in random_corpus(200, seed=31, n_lo=2, n_hi=10):
-        mu = sum(1 for _ in enumerate_mis(g))
+        mu = sum(1 for _ in mis_sets(g))
         assert mu <= 3 ** ((g.n + 2) // 3)
         if is_bipartite(g):
             assert mu <= 2 ** ((g.n + 1) // 2)
@@ -92,7 +91,7 @@ def test_enumeration_matches_the_two_loop_reference():
     wide = random_graph(rng, 70, 0.6)
     sparse = [graph(n, [(v, v + 97, 1.0) for v in range(0, n - 97, 97)]) for n in (1024, 1025)]
     for g in [*random_corpus(512, seed=53, n_lo=2, n_hi=14), *dense, *mid, wide, *sparse]:
-        got = list(enumerate_mis(g))
+        got = list(mis_sets(g))
         assert len(got) == len(set(got)), "stream must be duplicate-free"
         assert set(got) == set(reference_mis(g))
 
@@ -108,13 +107,13 @@ def test_mask_reduction_matches_the_coloring_reference():
         for n in (30, 36, 40, 44)
     ]
     for g in [*random_corpus(512, seed=53), *dense, *planted]:
-        for mis in enumerate_mis(g):
+        for mis in mis_sets(g):
             assert walk_reduction(g, mis) == reference_induced_coloring(g, mis)
         got = count_dims(g)
         assert got == reference_count(g)
-        # the same walk over enumerate_mis's sets in their order: its
+        # the same walk over the sets of mis_sets in their order: its
         # witness is the first cheapest DIM in that order
-        first = reference_count(g, enumerate_mis)
+        first = reference_count(g, mis_sets)
         assert got.witness == first.witness
         assert got.stats == first.stats
         if got.witness is not None:
@@ -125,7 +124,7 @@ def test_mask_reduction_matches_the_coloring_reference():
 def test_enumeration_scales_without_recursion():
     # 1001 vertices would blow Python's recursion limit if this recursed
     g = graph(1001, [(0, i, 1.0) for i in range(1, 1001)])
-    assert sum(1 for _ in enumerate_mis(g)) == 2
+    assert sum(1 for _ in mis_sets(g)) == 2
 
 
 def test_induced_coloring_star():
@@ -180,7 +179,7 @@ def test_enumeration_raises_past_the_ceiling():
 
     triangles = graph(9, [(u + t, v + t, w) for t in (0, 3, 6) for u, v, w in complete(3).edges])
     with pytest.raises(ContractViolation, match=r"10 maximal independent sets > 3\^ceil\(n/3\) = 9"):
-        list(_maximal_sets(SixSpanningNine(6), _adjacency_masks(triangles)))
+        list(_maximal_sets(SixSpanningNine(6), adjacency_masks(triangles)))
 
 
 def test_engines_report_the_same_bits():

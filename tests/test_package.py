@@ -39,7 +39,7 @@ PUBLIC = [
 INTERNAL = {
     "dimsolver.coloring": ["BLACK", "NO_PAIR", "UNCOLORED", "WHITE", "Coloring"],
     "dimsolver.domset": ["classify_parts", "find_dominating_set"],
-    "dimsolver.mis": ["count_dims", "enumerate_mis", "solve_mis"],
+    "dimsolver.mis": ["count_dims", "solve_mis"],
     "dimsolver.oracle": ["brute_mis"],
 }
 

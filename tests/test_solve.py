@@ -369,6 +369,31 @@ def test_long_path_and_cycles_within_budget(default_recursion_limit):
     assert _timed_auto(cycle(weights + [1.0])).dim is None
 
 
+def spider(d, center_first):
+    """A center joined to d legs a-b-c, unit weights. Center first: the
+    center is 0 and leg i is 3i+1, 3i+2, 3i+3. Otherwise reverse
+    breadth-first from the center: every c, then every b, every a, and
+    the center last. The only DIM takes every a-b edge."""
+    if center_first:
+        center, legs = 0, [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(d)]
+    else:
+        center, legs = 3 * d, [(3 * d - 1 - i, 2 * d - 1 - i, d - 1 - i) for i in range(d)]
+    edges = [e for a, b, c in legs for e in ((center, a), (a, b), (b, c))]
+    return graph(3 * d + 1, [(u, v, 1.0) for u, v in edges])
+
+
+@pytest.mark.parametrize("center_first, d, nodes", [(False, 8000, 16000), (True, 4000, 8002)])
+def test_spider_within_budget(center_first, d, nodes, default_recursion_limit):
+    # the single rule scans the single's adjacency each time it fires, so
+    # both numberings take time quadratic in d; center first is the
+    # slower, and at d = 8,000 it comes close to the budget
+    g = spider(d, center_first)
+    r = _timed_auto(g)
+    assert r.dim is not None and validate_dim(g, r.dim.edge_ids)
+    assert r.dim.weight == d
+    assert r.stats.search_nodes == nodes
+
+
 def test_trivial_components_within_budget():
     # 10000 isolated edges, then 10000 isolated vertices: the walk leaves
     # them all out, where g itself has 2^10000 maximal independent sets,
