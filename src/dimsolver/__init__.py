@@ -9,10 +9,11 @@ small brute-force oracle the fast solvers are tested against.
 
 The package exports what a library user calls: solve_instance and
 count_instance, solve_domset for a known dominating set, the graph,
-result and error types, the generator and the oracle. Engine internals
-stay in their modules: the coloring in dimsolver.coloring, the search's
-parts and default dominating set in dimsolver.domset, the walk in
-dimsolver.mis and brute_mis in dimsolver.oracle.
+result and error types, the generator and the oracle, brute_solve, which
+answers in the same CountResult as count_instance. Engine internals stay
+in their modules: the coloring in dimsolver.coloring, the search's parts
+and default dominating set in dimsolver.domset, the walk in
+dimsolver.mis, and brute_dims and brute_mis in dimsolver.oracle.
 """
 
 from .domset import solve_domset
@@ -30,7 +31,7 @@ from .graph import (
     serialize_graph,
     validate_dim,
 )
-from .oracle import MAX_ORACLE_N, InstanceTooLargeError, OracleResult, brute_solve
+from .oracle import MAX_ORACLE_N, InstanceTooLargeError, brute_solve
 from .solve import ALGORITHMS, count_instance, solve_instance
 from .trace import DotTracer
 
@@ -47,7 +48,6 @@ __all__ = [
     "GraphFormatError",
     "InstanceTooLargeError",
     "MAX_ORACLE_N",
-    "OracleResult",
     "SolveOutcome",
     "SolveStats",
     "brute_solve",

@@ -181,8 +181,9 @@ class CountResult:
 
     witness is a DIM of that weight, None when there is none, and stats
     is the record of the engine that decided the count: the count walk's,
-    or the dominating set search's when count_instance finds no DIM.
-    Neither takes part in equality or the repr.
+    or the dominating set search's when count_instance finds no DIM, and
+    None for the oracle's brute_solve. Neither takes part in equality or
+    the repr.
     """
 
     total: int
@@ -239,15 +240,13 @@ def _plain(token: str) -> bool:
     return token.isascii() and "_" not in token
 
 
-def parse_graph(text: str | bytes) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse instance text, raising GraphFormatError with a line number.
 
     Each edge is checked as its line is read, by the same function as in
     Graph(n, edges), and indexed once the whole text has passed; the graph
     is not checked again.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     plain = _plain(text)  # one scan spares the check per number
     n = m = None
     edges: list[tuple[int, int, float]] = []

@@ -3,15 +3,15 @@
 Enumerates all 2^n black/white vertex partitions (respectively all vertex
 subsets) and keeps the ones meeting the definition. No propagation, no
 pruning beyond the subset loop; this module must stay independent of the
-solvers so it can arbitrate them.
+solvers so it can arbitrate them. brute_solve answers in the engines'
+CountResult, so a count and the oracle compare with ==.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graph import Dim, Graph
+from .graph import CountResult, Dim, Graph
 
 MAX_ORACLE_N = 20
 
@@ -33,25 +33,6 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """All DIMs of a graph, in increasing order of their black-set bitmask."""
-
-    dims: tuple[frozenset[int], ...]
-    min_weight: float | None
-    total: int
-    min_count: int
-
-    def min_dim(self, g: Graph) -> Dim | None:
-        """First minimum-weight DIM in enumeration order."""
-        if self.min_weight is None:
-            return None
-        for d in self.dims:
-            if _weight_of(g.edges, d) == self.min_weight:
-                return Dim(d, self.min_weight)
-        raise AssertionError("min_weight without a witness")
-
-
 def _weight_of(
     edges: tuple[tuple[int, int, float], ...], edge_ids: frozenset[int]
 ) -> float:
@@ -60,9 +41,10 @@ def _weight_of(
     return math.fsum(edges[e][2] for e in edge_ids)
 
 
-def brute_solve(g: Graph) -> OracleResult:
-    """Every DIM of g by definition: a black set inducing a 1-regular
-    subgraph whose complement is an independent set.
+def brute_dims(g: Graph) -> tuple[frozenset[int], ...]:
+    """Every DIM of g by definition, as edge-id sets in increasing order of
+    the black-set bitmask: a black set inducing a 1-regular subgraph whose
+    complement is an independent set.
     """
     n = g.n
     if n > MAX_ORACLE_N:
@@ -92,21 +74,24 @@ def brute_solve(g: Graph) -> OracleResult:
                 if u > v:
                     ids.add(eid_of[(v, u)])
         dims.append(frozenset(ids))
+    return tuple(dims)
 
-    min_weight = None
+
+def brute_solve(g: Graph) -> CountResult:
+    """The count, minimum and ties of brute_dims(g); the witness is the
+    first minimum-weight DIM in its order, and stats is None."""
+    dims = brute_dims(g)
+    witness = None
     min_count = 0
     for d in dims:
         w = _weight_of(g.edges, d)
-        if min_weight is None or w < min_weight:
-            min_weight, min_count = w, 1
-        elif w == min_weight:
+        if witness is None or w < witness.weight:
+            witness, min_count = Dim(d, w), 1
+        elif w == witness.weight:
             min_count += 1
-    return OracleResult(
-        dims=tuple(dims),
-        min_weight=min_weight,
-        total=len(dims),
-        min_count=min_count,
-    )
+    if witness is None:
+        return CountResult(0, None, 0)
+    return CountResult(len(dims), witness.weight, min_count, witness)
 
 
 def brute_mis(g: Graph) -> set[frozenset[int]]:

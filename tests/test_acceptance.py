@@ -23,7 +23,7 @@ from dimsolver import (
 from dimsolver.coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring
 from dimsolver.domset import find_dominating_set
 from dimsolver.mis import count_dims, solve_mis
-from dimsolver.oracle import brute_mis
+from dimsolver.oracle import brute_dims, brute_mis
 from support import (
     C4_UNIT,
     C6_UNIT,
@@ -67,9 +67,7 @@ def test_solvers_match_oracle_everywhere():
             assert validate_dim(g, dom.dim.edge_ids)
             assert validate_dim(g, mis.dim.edge_ids)
         for have in (count_dims(g), count_instance(g)):
-            assert have.total == want.total
-            assert have.min_weight == want.min_weight
-            assert have.min_count == want.min_count
+            assert have == want
         checked += 1
     assert checked == CORPUS_SIZE
     _report(
@@ -92,9 +90,7 @@ def test_engines_agree_on_the_generated_corpus():
             g = parse_graph(serialize_graph(gen_instance(family, n, weights="uniform:1:9", p=0.3)))
             want = brute_solve(g)
             counted = count_instance(g)
-            assert (counted.total, counted.min_weight, counted.min_count) == (
-                want.total, want.min_weight, want.min_count
-            ), (family, n)
+            assert counted == want, (family, n)
             for algo in ("auto", "mis"):
                 dim = solve_instance(g, algo).dim
                 if want.total == 0:
@@ -243,7 +239,7 @@ def test_stable_root_colorings_keep_their_contracts():
         for r, (blacks, _) in observed.items():
             assert blacks == {v for k, v in enumerate(d) if (r >> k) & 1}
         observed_count += len(observed)
-        dims = brute_solve(g).dims
+        dims = brute_dims(g)
         extensible = set()
         for edge_ids in dims:
             blacks = {v for eid in edge_ids for v in g.edges[eid][:2]}
@@ -403,7 +399,7 @@ def test_desk_scale_auto_n30(seed):
 DESK_ENGINES = {
     "domset": lambda g: solve_instance(g, algo="auto").dim,
     "mis": lambda g: solve_instance(g, algo="mis").dim,
-    "brute": lambda g: brute_solve(g).min_dim(g),
+    "brute": lambda g: brute_solve(g).witness,
 }
 
 

@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from dimsolver import ContractViolation, brute_solve, validate_dim
+from dimsolver import ContractViolation, validate_dim
 from dimsolver.coloring import BLACK, NO_PAIR, UNCOLORED, WHITE, Coloring
 from dimsolver.domset import classify_parts
+from dimsolver.oracle import brute_dims
 from support import C6_UNIT, P4_527, STAR_419, ShuffledColoring, path, random_corpus
 
 P3 = path([1.0, 1.0])
@@ -171,8 +172,7 @@ def test_extension_soundness():
     # a start that agrees with some DIM coloring can only propagate toward it
     rng = random.Random(5)
     for g in random_corpus(60, seed=33, n_lo=3, n_hi=8):
-        res = brute_solve(g)
-        for edge_ids in res.dims[:4]:
+        for edge_ids in brute_dims(g)[:4]:
             blacks = {v for eid in edge_ids for v in g.edges[eid][:2]}
             full = [BLACK if v in blacks else WHITE for v in range(g.n)]
             keep = [v for v in range(g.n) if rng.random() < 0.5]

@@ -342,7 +342,7 @@ def test_wave_refutes_forced_centers_joined_by_an_edge():
                   (1, 6, 1), (1, 7, 1), (5, 6, 1), (5, 7, 1), (2, 5, 1)])
     tracer = DotTracer()
     assert solve_domset(g, tracer=tracer).dim is None
-    assert brute_solve(g).min_dim(g) is None
+    assert brute_solve(g).witness is None
     dot = tracer.to_dot()
     assert "forced 2 pairs 0" in dot
     assert "forced 5 pairs 1\\ninvalid" in dot

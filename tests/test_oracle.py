@@ -7,14 +7,14 @@ on values small enough to verify by hand.
 import pytest
 
 from dimsolver import Graph, InstanceTooLargeError, MAX_ORACLE_N, brute_solve, validate_dim
-from dimsolver.oracle import brute_mis
+from dimsolver.oracle import brute_dims, brute_mis
 from support import C4_UNIT, C5_UNIT, C6_UNIT, K3_123, P4_527, STAR_419, complete, graph
 
 
 def test_p4_unique_dim():
     res = brute_solve(P4_527)
     assert (res.total, res.min_weight, res.min_count) == (1, 2.0, 1)
-    assert res.min_dim(P4_527).edge_ids == frozenset({1})
+    assert res.witness.edge_ids == frozenset({1})
 
 
 def test_k3_three_dims():
@@ -38,16 +38,18 @@ def test_c6_three_at_weight_two():
 def test_star_picks_cheapest_spoke():
     res = brute_solve(STAR_419)
     assert (res.total, res.min_weight, res.min_count) == (3, 1.0, 1)
-    assert res.min_dim(STAR_419).edge_ids == frozenset({1})
+    assert res.witness.edge_ids == frozenset({1})
 
 
 def test_every_reported_dim_validates():
     for g in (P4_527, K3_123, C6_UNIT, STAR_419, complete(5)):
         res = brute_solve(g)
-        for edge_ids in res.dims:
+        dims = brute_dims(g)
+        assert len(dims) == res.total
+        for edge_ids in dims:
             assert validate_dim(g, edge_ids)
         weights = sorted(
-            sum(g.edges[eid][2] for eid in edge_ids) for edge_ids in res.dims
+            sum(g.edges[eid][2] for eid in edge_ids) for edge_ids in dims
         )
         if res.total:
             assert weights[0] == res.min_weight
@@ -58,7 +60,7 @@ def test_empty_and_single_vertex():
     for g in (Graph(0, ()), Graph(1, ())):
         res = brute_solve(g)
         assert res.total == 1 and res.min_weight == 0.0
-        assert res.min_dim(g).edge_ids == frozenset()
+        assert res.witness.edge_ids == frozenset()
 
 
 def test_size_cap():

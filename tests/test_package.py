@@ -21,7 +21,6 @@ PUBLIC = [
     "GraphFormatError",
     "InstanceTooLargeError",
     "MAX_ORACLE_N",
-    "OracleResult",
     "SolveOutcome",
     "SolveStats",
     "brute_solve",
@@ -40,7 +39,7 @@ INTERNAL = {
     "dimsolver.coloring": ["BLACK", "NO_PAIR", "UNCOLORED", "WHITE", "Coloring"],
     "dimsolver.domset": ["classify_parts", "find_dominating_set"],
     "dimsolver.mis": ["count_dims", "solve_mis"],
-    "dimsolver.oracle": ["brute_mis"],
+    "dimsolver.oracle": ["brute_dims", "brute_mis"],
 }
 
 

@@ -80,7 +80,7 @@ def test_forced_edges_and_isolated_vertices_merge_back():
         assert r.dim.weight == 7.0
         assert r.dim.edge_ids == frozenset({0, 1})
         assert validate_dim(g, r.dim.edge_ids)
-    assert brute_solve(g).min_dim(g) == Dim(frozenset({0, 1}), 7.0)
+    assert brute_solve(g).witness == Dim(frozenset({0, 1}), 7.0)
     res = count_instance(g)
     assert (res.total, res.min_weight, res.min_count) == (2, 7.0, 1)
 
@@ -102,7 +102,7 @@ def test_counting_survives_what_would_be_an_isolated_edge():
 def test_no_dim_reported_as_none_everywhere():
     for algo in ALL_ALGOS:
         assert solve_instance(C5_UNIT, algo=algo).dim is None
-    assert brute_solve(C5_UNIT).min_dim(C5_UNIT) is None
+    assert brute_solve(C5_UNIT).witness is None
     res = count_instance(C5_UNIT)
     assert (res.total, res.min_weight, res.min_count) == (0, None, 0)
 
